@@ -7,7 +7,9 @@ train, then valid, then test (head before tail within a line).
 
 Adjacency follows the directed out-neighbor convention: ``neighbors(i)``
 is the multiset of ``(tail, relation)`` pairs over train triples with head
-``i``.  Duplicate triples are retained; nothing here deduplicates.
+``i``.  Duplicate triples are retained; nothing here deduplicates.  Two
+pair indexes group the same train triples by (head, relation) and by
+(tail, relation) for the memorization walks of :mod:`hdkg.model`.
 """
 
 from __future__ import annotations
@@ -29,6 +31,36 @@ CACHE_VERSION = 1
 RECIPROCAL_SUFFIX = "_reverse"
 
 
+@dataclass(frozen=True)
+class PairIndex:
+    """Distinct (vertex, relation) pairs of the train split and their members.
+
+    Pairs are sorted by vertex, then relation.  ``members`` is a
+    (pairs, |V|) CSR matrix whose row p holds one unit entry per train
+    triple joining pair p's vertex to a member vertex under pair p's
+    relation, sorted by member id; duplicate triples stay separate entries.
+    """
+
+    vertex: np.ndarray
+    rel: np.ndarray
+    members: sp.csr_matrix
+
+    @classmethod
+    def build(cls, vertex: np.ndarray, rel: np.ndarray, other: np.ndarray,
+              n_entities: int, n_relations: int) -> "PairIndex":
+        pair, member = np.divmod(np.sort((vertex * n_relations + rel) * n_entities + other),
+                                 n_entities)
+        starts = np.flatnonzero(np.diff(pair, prepend=-1))
+        members = sp.csr_matrix((np.ones(len(member)), member, np.append(starts, len(member))),
+                                shape=(len(starts), n_entities))
+        vertex, rel = np.divmod(pair[starts], n_relations)
+        return cls(vertex=vertex, rel=rel, members=members)
+
+    @property
+    def n_pairs(self) -> int:
+        return len(self.vertex)
+
+
 @dataclass
 class KnowledgeGraph:
     """Triple store with vocabularies and train-split adjacency.
@@ -47,10 +79,15 @@ class KnowledgeGraph:
     test: np.ndarray
     augmented: bool = False
 
-    # Derived adjacency, built in __post_init__ from the train split.
+    # Derived adjacency, built in __post_init__ from the train split:
+    # head-sorted neighbor lists, and the train triples grouped by
+    # (head, relation) with tail members and by (tail, relation) with head
+    # members.
     nbr_indptr: np.ndarray = field(init=False, repr=False)
     nbr_tails: np.ndarray = field(init=False, repr=False)
     nbr_rels: np.ndarray = field(init=False, repr=False)
+    head_pairs: PairIndex = field(init=False, repr=False)
+    tail_pairs: PairIndex = field(init=False, repr=False)
 
     def __post_init__(self):
         self.entity_index = {name: i for i, name in enumerate(self.entities)}
@@ -68,7 +105,6 @@ class KnowledgeGraph:
                 if split[:, 1].min() < 0 or split[:, 1].max() >= self.n_relations:
                     raise DatasetFormatError(f"{split_name} split has relation ids out of range")
         self._build_adjacency()
-        self._rel_csr_cache = None
 
     @property
     def n_entities(self) -> int:
@@ -85,6 +121,9 @@ class KnowledgeGraph:
         self.nbr_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         self.nbr_tails = self.train[order, 2].astype(np.int64)
         self.nbr_rels = self.train[order, 1].astype(np.int64)
+        heads, rels, tails = self.train[:, 0], self.train[:, 1], self.train[:, 2]
+        self.head_pairs = PairIndex.build(heads, rels, tails, self.n_entities, self.n_relations)
+        self.tail_pairs = PairIndex.build(tails, rels, heads, self.n_entities, self.n_relations)
 
     def neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Out-neighbors of vertex i in train: (tails, relations), duplicates kept."""
@@ -96,18 +135,15 @@ class KnowledgeGraph:
         return np.diff(self.nbr_indptr)
 
     def relation_csr(self, r: int) -> sp.csr_matrix:
-        """Adjacency of relation r as a sparse matrix A with A[i, j] = #(i, r, j) in train."""
-        if self._rel_csr_cache is None:
-            self._rel_csr_cache = {}
-        if r not in self._rel_csr_cache:
-            mask = self.train[:, 1] == r
-            heads = self.train[mask, 0]
-            tails = self.train[mask, 2]
-            data = np.ones(len(heads), dtype=np.float64)
-            self._rel_csr_cache[r] = sp.csr_matrix(
-                (data, (heads, tails)), shape=(self.n_entities, self.n_entities)
-            )
-        return self._rel_csr_cache[r]
+        """Adjacency of relation r as a sparse matrix A with A[i, j] = #(i, r, j) in train.
+
+        Built on every call from the train split alone, so it serves as an
+        independent route to the pair indexes.
+        """
+        mask = self.train[:, 1] == r
+        data = np.ones(int(mask.sum()), dtype=np.float64)
+        return sp.csr_matrix((data, (self.train[mask, 0], self.train[mask, 2])),
+                             shape=(self.n_entities, self.n_entities))
 
     def relation_counts(self) -> sp.csr_matrix:
         """Sparse (|V|, |R|) matrix C with C[i, r] = #out-edges of i under r in train."""
@@ -252,7 +288,14 @@ def load_cache(path) -> KnowledgeGraph:
                 names = []
                 for _ in range(count):
                     (length,) = struct.unpack("<I", fh.read(4))
-                    names.append(fh.read(length).decode("utf-8"))
+                    blob = fh.read(length)
+                    if len(blob) != length:
+                        raise DatasetFormatError(f"{path}: truncated name table")
+                    try:
+                        names.append(blob.decode("utf-8"))
+                    except UnicodeDecodeError as exc:
+                        raise DatasetFormatError(
+                            f"{path}: name {len(names)} is not valid UTF-8 ({exc})") from exc
                 return names
 
             entities = read_names(n_ent)
@@ -265,6 +308,8 @@ def load_cache(path) -> KnowledgeGraph:
                 return np.frombuffer(raw, dtype="<i4").reshape(count, 3).astype(np.int64)
 
             splits = [read_split(n) for n in (n_train, n_valid, n_test)]
+            if fh.read(1):
+                raise DatasetFormatError(f"{path}: trailing bytes after split data")
     except struct.error as exc:
         raise DatasetFormatError(f"{path}: truncated header ({exc})") from exc
     return KnowledgeGraph(entities, relations, *splits, augmented=bool(augmented))

@@ -14,6 +14,16 @@ and batch scores through a translational residual
 so nearer candidates score higher.  The opposite sign convention (bias plus
 the norm) is kept behind ``score_sign="pos"`` for comparison only.
 
+Every walk of the graph goes through one "aggregate, then bind" kernel,
+:func:`aggregate_bind`.  All tails j of a (head i, relation r) pair share the
+factor H_r[r], so one sparse product first sums H_v over the pair's tails and
+the bind then runs once per pair, not once per edge.  Memorization runs it
+over the (head, relation) pairs; the reference backward runs it over the
+(tail, relation) pairs to carry the memory gradient back to H_v and H_r.
+Pairs go PAIR_CHUNK at a time, so no walk holds a temporary larger than
+PAIR_CHUNK x D.  The per-relation matrix form stays only as an independent
+check of the kernel.
+
 Training updates only e_v, e_r and the bias.  Two backward modes exist:
 
   reference  exact gradients of the computation above, including the tanh
@@ -37,16 +47,18 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 from scipy.special import expit
 
 from . import rng
 from .errors import NumericError, ShapeError, StalenessError
 from .hdc import BaseMatrix, encode
-from .kg import KnowledgeGraph, tail_index
+from .kg import KnowledgeGraph, PairIndex, tail_index
 
 INIT_SCALE = 0.1       # embeddings start uniform in [-INIT_SCALE, INIT_SCALE]
 SIGN_TILE = 128        # candidate columns materialized at once in backward
+PAIR_CHUNK = 2048      # (vertex, relation) pairs aggregated at once in graph walks
 
 BACKWARD_MODES = ("reference", "hardware")
 SCORE_SIGNS = ("neg", "pos")
@@ -114,32 +126,60 @@ def _activate(projected, activation):
 
 def memorize_edge_list(kg: KnowledgeGraph, H_v: np.ndarray,
                        H_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vertex memory M and relation-sum G by walking each neighbor list.
+    """Per-vertex memory M and relation-sum G over the train adjacency.
 
-    M[i] accumulates the bound pairs H_v[j] * H_r[r]; G[i] accumulates the
-    bare relation rows H_r[r].  Both sums run in adjacency order, so a
-    recomputation from the same inputs reproduces them exactly.
+    M[i] sums H_v[j] * H_r[r] over i's out-edges (j, r), aggregated per
+    (head, relation) pair by :func:`aggregate_bind`.  G[i] sums the bare
+    relation rows H_r[r] in adjacency order, as one product with the unit
+    (V, R) incidence of the neighbor lists (duplicates kept, not summed), so
+    a recomputation from the same inputs reproduces it exactly.
     """
     _check_hv(kg, H_v, H_r)
-    n, D = kg.n_entities, H_v.shape[1]
-    M = np.zeros((n, D), dtype=H_v.dtype)
-    G = np.zeros((n, D), dtype=H_v.dtype)
-    for i in range(n):
-        tails, rels = kg.neighbors(i)
-        if len(tails) == 0:
-            continue
-        M[i] = (H_v[tails] * H_r[rels]).sum(axis=0)
-        G[i] = H_r[rels].sum(axis=0)
-    return M, G
+    M = np.zeros((kg.n_entities, H_v.shape[1]), dtype=H_v.dtype)
+    aggregate_bind(kg.head_pairs, H_v, H_r, M)
+    incidence = sp.csr_matrix(
+        (np.ones(len(kg.nbr_rels), dtype=H_r.dtype), kg.nbr_rels, kg.nbr_indptr),
+        shape=(kg.n_entities, kg.n_relations))
+    return M, incidence @ H_r
+
+
+def aggregate_bind(pairs: PairIndex, X: np.ndarray, H_r: np.ndarray, out: np.ndarray,
+                   H_vertex: np.ndarray | None = None,
+                   g_rel: np.ndarray | None = None) -> None:
+    """Aggregate X over each pair's members, then bind once per pair.
+
+    For every (vertex, relation) pair p, Y[p] = members[p] @ X sums X over
+    p's members, and out[vertex[p]] gains Y[p] * H_r[rel[p]].  With
+    ``g_rel``, g_rel[rel[p]] also gains Y[p] * H_vertex[vertex[p]].  Pairs
+    are taken PAIR_CHUNK at a time, so every temporary is at most
+    PAIR_CHUNK x D whatever the graph size.
+    """
+    for p0 in range(0, pairs.n_pairs, PAIR_CHUNK):
+        p1 = min(p0 + PAIR_CHUNK, pairs.n_pairs)
+        n = p1 - p0
+        vertex, rel = pairs.vertex[p0:p1], pairs.rel[p0:p1]
+        Y = pairs.members[p0:p1] @ X
+        ones = np.ones(n, dtype=Y.dtype)
+        if g_rel is not None:
+            by_rel = sp.csc_matrix((ones, rel, np.arange(n + 1)), shape=(len(H_r), n))
+            g_rel += by_rel @ (Y * H_vertex[vertex])
+        Y *= H_r[rel]
+        # Pairs are vertex-sorted, so the chunk's vertices form one id range.
+        v0, v1 = vertex[0], vertex[-1] + 1
+        by_vertex = sp.csr_matrix(
+            (ones, np.arange(n), np.searchsorted(vertex, np.arange(v0, v1 + 1))),
+            shape=(v1 - v0, n))
+        out[v0:v1] += by_vertex @ Y
 
 
 def memorize_matrix_form(kg: KnowledgeGraph, H_v: np.ndarray,
                          H_r: np.ndarray) -> np.ndarray:
     """Same memory as :func:`memorize_edge_list` via per-relation sparse products.
 
-    M = sum over r of (A_r @ H_v) * H_r[r], with A_r the relation adjacency.
-    Kept as an independent route; agreement with the edge-list form is a
-    correctness check, not an implementation detail.
+    M = sum over r of (A_r @ H_v) * H_r[r], with A_r the relation adjacency
+    rebuilt from the train split on every call.  Kept as an independent
+    route; agreement with the pair kernel is a correctness check, not an
+    implementation detail.
     """
     _check_hv(kg, H_v, H_r)
     n, D = kg.n_entities, H_v.shape[1]
@@ -227,12 +267,8 @@ def loss_and_delta(signals: ScoreSignals, targets, n_candidates: int,
     if label_smoothing:
         y = y * (1.0 - label_smoothing) + label_smoothing / n_candidates
 
-    if signals.raw is not None:
-        # softplus(raw) - y * raw, stable for large |raw|
-        cells = np.logaddexp(0.0, signals.raw) - y * signals.raw
-    else:
-        from scipy.special import xlogy
-        cells = -(xlogy(y, signals.P) + xlogy(1.0 - y, 1.0 - signals.P))
+    # softplus(raw) - y * raw, stable for large |raw|
+    cells = np.logaddexp(0.0, signals.raw) - y * signals.raw
     loss = float(cells.mean())
     if not np.isfinite(loss):
         raise NumericError(f"non-finite training loss: {loss}")
@@ -260,8 +296,9 @@ def chunked_backward(state: ModelState, kg: KnowledgeGraph, signals: ScoreSignal
 
     With ``return_internals`` the hypervector-space accumulators come back in
     a second dict: the candidate-side memory gradient before the subject
-    scatter (``gM_candidates``), the per-query gradient (``gQ``), and the
-    relation rows it scatters into (``gHr_direct``).
+    scatter (``gM_candidates``), the per-query gradient (``gQ``), the
+    relation rows it scatters into (``gHr_direct``), and the hypervector
+    gradients ``gHv`` and ``gHr`` before the encoder's activation derivative.
     """
     if mode not in BACKWARD_MODES:
         raise ValueError(f"mode must be one of {BACKWARD_MODES}")
@@ -298,24 +335,23 @@ def chunked_backward(state: ModelState, kg: KnowledgeGraph, signals: ScoreSignal
         internals["gHr_direct"] = gHr.copy()
     grad_bias = float(delta.sum())
 
-    basemat_t = state.base.data.T.astype(state.dtype, copy=False)
     if mode == "hardware":
         gHv = gM * state.G
-        grad_e_v = gHv @ basemat_t
-        grad_e_r = gHr @ basemat_t
     else:
+        # Memorization path, walked from the tail side: each (tail, relation)
+        # pair sums gM over its heads once, then binds it with H_r for the
+        # tail's row and with H_v[tail] for the relation's row.
         gHv = np.zeros_like(state.H_v)
-        for r in range(kg.n_relations):
-            A = kg.relation_csr(r)
-            if A.nnz == 0:
-                continue
-            gHv += (A.T @ gM) * state.H_r[r]
-            gHr[r] += ((A @ state.H_v) * gM).sum(axis=0)
-        if state.activation == "tanh":
-            gHv = gHv * (1.0 - state.H_v ** 2)
-            gHr = gHr * (1.0 - state.H_r ** 2)
-        grad_e_v = gHv @ basemat_t
-        grad_e_r = gHr @ basemat_t
+        aggregate_bind(kg.tail_pairs, gM, state.H_r, gHv,
+                       H_vertex=state.H_v, g_rel=gHr)
+    if return_internals:
+        internals["gHv"], internals["gHr"] = gHv.copy(), gHr.copy()
+    if mode == "reference" and state.activation == "tanh":
+        gHv = gHv * (1.0 - state.H_v ** 2)
+        gHr = gHr * (1.0 - state.H_r ** 2)
+    basemat_t = state.base.data.T.astype(state.dtype, copy=False)
+    grad_e_v = gHv @ basemat_t
+    grad_e_r = gHr @ basemat_t
     grads = Gradients(e_v=grad_e_v, e_r=grad_e_r, bias=grad_bias)
     if return_internals:
         return grads, internals

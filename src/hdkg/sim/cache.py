@@ -3,8 +3,10 @@
 Capacity counts hypervector-sized slots (the on-chip UltraRAM budget).
 Relation hypervectors never pass through here; the device keeps all of them
 resident.  LFU evicts the least-frequently-used entry, breaking ties by
-least-recent touch and then by lowest vertex id.  Random eviction draws from
-the ``random-policy`` stream.
+least-recent touch and then by lowest vertex id.  Its heap is built when the
+cache first fills, keeps stale entries until they surface, and is rebuilt
+from the current entries once it outgrows LFU_HEAP_SLACK times the capacity.
+Random eviction draws from the ``random-policy`` stream.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from collections import OrderedDict
 from .. import rng
 
 CACHE_POLICIES = ("lru", "lfu", "random")
+LFU_HEAP_SLACK = 2     # LFU heap entries allowed per slot before a rebuild
 
 
 class Cache:
@@ -30,8 +33,8 @@ class Cache:
         self.evictions = 0
         self._clock = 0
         self._lru: OrderedDict[int, None] = OrderedDict()
-        self._meta: dict[int, tuple[int, int]] = {}   # vid -> (freq, last_touch)
-        self._heap: list[tuple[int, int, int]] = []   # (freq, last_touch, vid)
+        self._meta: dict[int, tuple[int, int, int]] = {}  # vid -> its current heap entry
+        self._heap: list[tuple[int, int, int]] = []       # (freq, last_touch, vid)
         self._slots: list[int] = []                   # random policy: resident vids
         self._pos: dict[int, int] = {}                # vid -> index into _slots
         self._gen = rng.stream(seed, "random-policy")
@@ -71,26 +74,35 @@ class Cache:
 
     def _access_lfu(self, vid):
         self._clock += 1
-        if vid in self._meta:
-            freq, _ = self._meta[vid]
-            self._meta[vid] = (freq + 1, self._clock)
-            heapq.heappush(self._heap, (freq + 1, self._clock, vid))
+        current = self._meta.get(vid)
+        if current is not None:
             self.hits += 1
-            return True
-        self.misses += 1
-        if self.capacity == 0:
-            return False
+            entry = (current[0] + 1, self._clock, vid)
+        else:
+            self.misses += 1
+            if self.capacity == 0:
+                return False
+            if len(self._meta) >= self.capacity:
+                # Stale heap entries are skipped until one is a vertex's
+                # current entry.
+                while True:
+                    victim = heapq.heappop(self._heap)
+                    if self._meta.get(victim[2]) is victim:
+                        del self._meta[victim[2]]
+                        self.evictions += 1
+                        break
+            entry = (1, self._clock, vid)
+        self._meta[vid] = entry
+        # Nothing is evicted before the cache fills, so the heap is built
+        # then, and rebuilt whenever stale entries pile up.  Entries are
+        # totally ordered and only current ones are evicted, so dropping the
+        # stale ones keeps the eviction order.
         if len(self._meta) >= self.capacity:
-            # Stale heap entries are skipped until one matches current metadata.
-            while True:
-                freq, touch, victim = heapq.heappop(self._heap)
-                if self._meta.get(victim) == (freq, touch):
-                    del self._meta[victim]
-                    self.evictions += 1
-                    break
-        self._meta[vid] = (1, self._clock)
-        heapq.heappush(self._heap, (1, self._clock, vid))
-        return False
+            heapq.heappush(self._heap, entry)
+            if not len(self._meta) <= len(self._heap) <= LFU_HEAP_SLACK * self.capacity:
+                self._heap = list(self._meta.values())
+                heapq.heapify(self._heap)
+        return current is not None
 
     def _access_random(self, vid):
         if vid in self._pos:

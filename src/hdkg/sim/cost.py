@@ -115,6 +115,7 @@ def replay_schedule(batches, neighbors_of, cache: Cache, registry: Registry,
                     d: int, D: int, cfg: CostConfig) -> ReplayStats:
     """Walk one epoch's schedule, driving the cache and the registry."""
     stats = ReplayStats()
+    evictions_before = cache.evictions
     hv_bytes = D * cfg.elem_bytes
     for batch in batches:
         max_deg = 0
@@ -136,6 +137,7 @@ def replay_schedule(batches, neighbors_of, cache: Cache, registry: Registry,
                     stats.misses += 1
                     stats.fetch_bytes += hv_bytes
         stats.mem_cycles += -(-max_deg * D // cfg.mem_lanes_per_engine)
+    stats.evictions = cache.evictions - evictions_before
     return stats
 
 

@@ -161,6 +161,21 @@ class TestCliIngest:
                        "--out-dir", str(tmp_path)) == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda blob: blob.replace(b"\x01\x00\x00\x00a", b"\x01\x00\x00\x00\xff"),
+        lambda blob: blob + b"\x00",
+    ], ids=["name-not-utf8", "trailing-bytes"])
+    def test_corrupt_cache_is_exit_3(self, dataset_dir, tmp_path, capsys, corrupt):
+        out = tmp_path / "out"
+        run_cli("ingest", "--dataset", str(dataset_dir), "--out-dir", str(out))
+        cache = out / "dataset.hdkg"
+        blob = cache.read_bytes()
+        cache.write_bytes(corrupt(blob))
+        assert cache.read_bytes() != blob
+        assert run_cli("ingest", "--dataset", str(cache),
+                       "--out-dir", str(tmp_path / "out2")) == 3
+        assert "data error" in capsys.readouterr().err
+
     def test_no_dataset_is_exit_2(self, tmp_path, capsys):
         assert run_cli("ingest", "--out-dir", str(tmp_path)) == 2
         assert "configuration error" in capsys.readouterr().err

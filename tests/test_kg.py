@@ -198,6 +198,18 @@ class TestCache:
         with pytest.raises(DatasetFormatError):
             load_cache(path)
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda blob: blob.replace(b"v1", b"\xff1"), "UTF-8"),
+        (lambda blob: blob + b"\x00", "trailing bytes"),
+        (lambda blob: blob[:blob.index(b"v1") + 1], "truncated name"),
+    ])
+    def test_corrupt_cache_is_format_error(self, tmp_path, corrupt, message):
+        path = tmp_path / "graph.bin"
+        save_cache(graph_from_triples([(0, 0, 1), (1, 0, 2)], 3, 1), path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(DatasetFormatError, match=message):
+            load_cache(path)
+
     def test_unicode_names_survive(self, tmp_path):
         kg = KnowledgeGraph(["köln", "東京"], ["liegt_in"],
                             np.array([[0, 0, 1]]),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import graph_from_triples, make_graph
+from hdkg import model
 from hdkg.errors import ShapeError, StalenessError, NumericError
 from hdkg.hdc import BaseMatrix
 from hdkg.kg import tail_index
@@ -106,6 +107,72 @@ class TestMemorize:
             memorize_edge_list(kg, state.H_v[:2], state.H_r)
 
 
+def pair_graph():
+    """Duplicate triples, self-loops, a relation without edges (3), vertices
+    without out-edges (4 and the isolated 6); with three pairs per chunk the
+    chunk boundary splits vertex 1's head pairs."""
+    triples = [(0, 0, 1), (0, 0, 1), (0, 0, 2), (0, 1, 3), (1, 0, 5), (1, 1, 4),
+               (1, 2, 0), (2, 1, 2), (3, 0, 3), (3, 2, 1), (5, 1, 0)]
+    return graph_from_triples(triples, 7, 4)
+
+
+def per_edge_memory(kg, H_v, H_r):
+    M, G = np.zeros_like(H_v), np.zeros_like(H_v)
+    for h, r, t in kg.train.tolist():
+        M[h] += H_v[t] * H_r[r]
+        G[h] += H_r[r]
+    return M, G
+
+
+def per_edge_memory_gradients(kg, gM, H_v, H_r, gHr_direct):
+    gHv, gHr = np.zeros_like(H_v), gHr_direct.copy()
+    for h, r, t in kg.train.tolist():
+        gHv[t] += gM[h] * H_r[r]
+        gHr[r] += gM[h] * H_v[t]
+    return gHv, gHr
+
+
+@pytest.mark.parametrize("chunk", [1, 3, model.PAIR_CHUNK])
+class TestPairKernel:
+    """The pair kernel against a plain per-edge loop, at several pair-chunk sizes."""
+
+    def test_memory_matches_per_edge_oracle(self, monkeypatch, chunk):
+        monkeypatch.setattr(model, "PAIR_CHUNK", chunk)
+        kg = pair_graph()
+        assert kg.head_pairs.vertex[2] == kg.head_pairs.vertex[3] == 1
+        state = fresh_state(kg, d=3, D=8, seed=2)
+        M, G = memorize_edge_list(kg, state.H_v, state.H_r)
+        M_want, G_want = per_edge_memory(kg, state.H_v, state.H_r)
+        np.testing.assert_allclose(M, M_want, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(G, G_want, rtol=1e-13, atol=1e-15)
+        assert not M[[4, 6]].any() and not G[[4, 6]].any()
+
+    def test_reference_gradients_match_per_edge_oracle(self, monkeypatch, chunk):
+        monkeypatch.setattr(model, "PAIR_CHUNK", chunk)
+        kg = pair_graph()
+        state = fresh_state(kg, d=3, D=8, seed=2)
+        subjects, rels = np.array([0, 1, 3, 6]), np.array([0, 2, 3, 1])
+        sig = score_batch(state, subjects, rels)
+        _, delta = loss_and_delta(sig, [[1, 2], [0], [], [4]], kg.n_entities)
+        grads, info = chunked_backward(state, kg, sig, delta, T=4,
+                                       return_internals=True)
+        gM = info["gM_candidates"].copy()
+        np.add.at(gM, subjects, info["gQ"])
+        gHv, gHr = per_edge_memory_gradients(kg, gM, state.H_v, state.H_r,
+                                             info["gHr_direct"])
+        np.testing.assert_allclose(info["gHv"], gHv, rtol=1e-12, atol=1e-18)
+        np.testing.assert_allclose(info["gHr"], gHr, rtol=1e-12, atol=1e-18)
+        # relation 3 has no edges: only the query scatter reaches it
+        np.testing.assert_array_equal(info["gHr"][3], info["gHr_direct"][3])
+        basemat_t = state.base.data.T
+        np.testing.assert_allclose(
+            grads.e_v, (gHv * (1.0 - state.H_v ** 2)) @ basemat_t,
+            rtol=1e-10, atol=1e-18)
+        np.testing.assert_allclose(
+            grads.e_r, (gHr * (1.0 - state.H_r ** 2)) @ basemat_t,
+            rtol=1e-10, atol=1e-18)
+
+
 class TestScoreBatch:
     def test_raw_is_bias_minus_l1(self):
         kg = tiny_graph()
@@ -172,20 +239,6 @@ class TestLoss:
         y_neg = eps / V
         assert delta[0, 2] == pytest.approx((0.5 - y_pos) / V)
         assert delta[0, 0] == pytest.approx((0.5 - y_neg) / V)
-
-    def test_softplus_and_probability_paths_agree(self):
-        gen = np.random.default_rng(4)
-        raw = gen.normal(scale=3.0, size=(2, 5))
-        P = 1.0 / (1.0 + np.exp(-raw))
-        base = dict(subjects=np.arange(2), rels=np.zeros(2, dtype=np.int64),
-                    Q=np.zeros((2, 3)))
-        with_raw = ScoreSignals(raw=raw, P=P, **base)
-        without = ScoreSignals(raw=None, P=P, **base)
-        targets = [[0, 3], [4]]
-        l1, d1 = loss_and_delta(with_raw, targets, 5)
-        l2, d2 = loss_and_delta(without, targets, 5)
-        assert l1 == pytest.approx(l2, rel=1e-10)
-        np.testing.assert_allclose(d1, d2, atol=1e-15)
 
     def test_non_finite_loss_raises(self):
         sig = ScoreSignals(subjects=np.arange(1), rels=np.zeros(1, dtype=np.int64),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_graph, neighbors_from_degrees, skewed_degrees
-from hdkg.sim.cache import Cache
+from hdkg.sim.cache import LFU_HEAP_SLACK, Cache
 from hdkg.sim.cost import (
     PRESETS,
     ReplayStats,
@@ -135,6 +135,32 @@ class TestCache:
                 cache.access(int(v))
             assert len(cache) <= 3
 
+    def test_lfu_matches_linear_scan_oracle_with_bounded_heap(self):
+        # Oracle: evict the minimum (freq, last touch, vid) by a full scan.
+        capacity = 8
+        cache = Cache(capacity, "lfu")
+        meta, hits, misses, evictions = {}, 0, 0, 0
+        gen = np.random.default_rng(3)
+        stream = gen.zipf(1.3, 20000) % 60
+        for clock, v in enumerate(stream.tolist(), start=1):
+            if v in meta:
+                meta[v] = (meta[v][0] + 1, clock)
+                hits += 1
+                expected_hit = True
+            else:
+                misses += 1
+                if len(meta) >= capacity:
+                    victim = min(meta, key=lambda u: (*meta[u], u))
+                    del meta[victim]
+                    evictions += 1
+                meta[v] = (1, clock)
+                expected_hit = False
+            assert cache.access(v) == expected_hit
+            assert cache.resident == set(meta)
+            assert len(cache._heap) <= LFU_HEAP_SLACK * capacity
+        assert (cache.hits, cache.misses, cache.evictions) == (hits, misses, evictions)
+        assert evictions > 1000
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             Cache(-1, "lru")
@@ -213,7 +239,39 @@ class TestReplay:
         assert run(2, 512).mem_cycles == 320
 
 
+    def test_evictions_are_the_cache_delta(self):
+        degrees, neighbors_of = tiny_workload()
+        cfg = PRESETS["u50"]
+        reg = Registry()
+        cache = Cache(16, "lfu")
+        for _ in range(2):
+            before = cache.evictions
+            batches = schedule_epoch(degrees, cfg.mem_engines, reg)
+            stats = replay_schedule(batches, neighbors_of, cache, reg,
+                                    d=96, D=256, cfg=cfg)
+            assert stats.evictions == cache.evictions - before > 0
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("policy", ["lru", "lfu", "random"])
+    def test_report_evictions_match_the_cache(self, policy):
+        degrees, neighbors_of = tiny_workload()
+        cfg = dataclasses.replace(PRESETS["u50"], cache_slots=16, cache_policy=policy)
+        report = simulate(degrees, neighbors_of, 4, 600, d=96, D=256, cfg=cfg, seed=3)
+        reg = Registry()
+        cache = Cache(16, policy, seed=3)
+        deltas = []
+        for _ in range(2):
+            before = cache.evictions
+            replay_schedule(schedule_epoch(degrees, cfg.mem_engines, reg),
+                            neighbors_of, cache, reg, d=96, D=256, cfg=cfg)
+            deltas.append(cache.evictions - before)
+        assert [report.cold["evictions"], report.warm["evictions"]] == deltas
+        # a cache that starts empty and fills evicts every miss but the first
+        # `capacity` ones
+        misses = report.cold["misses"] + report.warm["misses"]
+        assert sum(deltas) == misses - 16
+
     def test_report_structure_and_arithmetic(self):
         degrees, neighbors_of = tiny_workload()
         cfg = PRESETS["u50"]
