@@ -15,7 +15,8 @@ pair indexes group the same train triples by (head, relation) and by
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,11 @@ class KnowledgeGraph:
         relations: relation names, index = id.
         train, valid, test: ``(n, 3)`` int64 arrays of (head, rel, tail) ids.
         augmented: True once reciprocal triples have been added.
+
+    Derived from the train split on first use: the head-sorted neighbor
+    lists ``nbr_indptr``, ``nbr_tails`` and ``nbr_rels``, and the pair
+    indexes ``head_pairs`` (train triples grouped by (head, relation), tail
+    members) and ``tail_pairs`` (by (tail, relation), head members).
     """
 
     entities: list[str]
@@ -78,16 +84,6 @@ class KnowledgeGraph:
     valid: np.ndarray
     test: np.ndarray
     augmented: bool = False
-
-    # Derived adjacency, built in __post_init__ from the train split:
-    # head-sorted neighbor lists, and the train triples grouped by
-    # (head, relation) with tail members and by (tail, relation) with head
-    # members.
-    nbr_indptr: np.ndarray = field(init=False, repr=False)
-    nbr_tails: np.ndarray = field(init=False, repr=False)
-    nbr_rels: np.ndarray = field(init=False, repr=False)
-    head_pairs: PairIndex = field(init=False, repr=False)
-    tail_pairs: PairIndex = field(init=False, repr=False)
 
     def __post_init__(self):
         self.entity_index = {name: i for i, name in enumerate(self.entities)}
@@ -104,7 +100,6 @@ class KnowledgeGraph:
                     raise DatasetFormatError(f"{split_name} split has entity ids out of range")
                 if split[:, 1].min() < 0 or split[:, 1].max() >= self.n_relations:
                     raise DatasetFormatError(f"{split_name} split has relation ids out of range")
-        self._build_adjacency()
 
     @property
     def n_entities(self) -> int:
@@ -114,21 +109,46 @@ class KnowledgeGraph:
     def n_relations(self) -> int:
         return len(self.relations)
 
-    def _build_adjacency(self):
+    # The derived adjacency is built from the train split on first use, so a
+    # graph that add_reciprocal replaces never builds it.
+
+    @cached_property
+    def _neighbor_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         heads = self.train[:, 0]
         order = np.argsort(heads, kind="stable")
         counts = np.bincount(heads, minlength=self.n_entities)
-        self.nbr_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        self.nbr_tails = self.train[order, 2].astype(np.int64)
-        self.nbr_rels = self.train[order, 1].astype(np.int64)
+        return (np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
+                self.train[order, 2].astype(np.int64),
+                self.train[order, 1].astype(np.int64))
+
+    @property
+    def nbr_indptr(self) -> np.ndarray:
+        return self._neighbor_lists[0]
+
+    @property
+    def nbr_tails(self) -> np.ndarray:
+        return self._neighbor_lists[1]
+
+    @property
+    def nbr_rels(self) -> np.ndarray:
+        return self._neighbor_lists[2]
+
+    @cached_property
+    def head_pairs(self) -> PairIndex:
         heads, rels, tails = self.train[:, 0], self.train[:, 1], self.train[:, 2]
-        self.head_pairs = PairIndex.build(heads, rels, tails, self.n_entities, self.n_relations)
-        self.tail_pairs = PairIndex.build(tails, rels, heads, self.n_entities, self.n_relations)
+        return PairIndex.build(heads, rels, tails, self.n_entities, self.n_relations)
+
+    @cached_property
+    def tail_pairs(self) -> PairIndex:
+        heads, rels, tails = self.train[:, 0], self.train[:, 1], self.train[:, 2]
+        return PairIndex.build(tails, rels, heads, self.n_entities, self.n_relations)
 
     def neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Out-neighbors of vertex i in train: (tails, relations), duplicates kept."""
-        lo, hi = self.nbr_indptr[i], self.nbr_indptr[i + 1]
-        return self.nbr_tails[lo:hi], self.nbr_rels[lo:hi]
+        # One lookup of the lists: this is the simulator's per-vertex path.
+        indptr, tails, rels = self._neighbor_lists
+        lo, hi = indptr[i], indptr[i + 1]
+        return tails[lo:hi], rels[lo:hi]
 
     def degrees(self) -> np.ndarray:
         """Train out-degree per vertex, duplicates counted."""
@@ -144,14 +164,6 @@ class KnowledgeGraph:
         data = np.ones(int(mask.sum()), dtype=np.float64)
         return sp.csr_matrix((data, (self.train[mask, 0], self.train[mask, 2])),
                              shape=(self.n_entities, self.n_entities))
-
-    def relation_counts(self) -> sp.csr_matrix:
-        """Sparse (|V|, |R|) matrix C with C[i, r] = #out-edges of i under r in train."""
-        data = np.ones(len(self.train), dtype=np.float64)
-        return sp.csr_matrix(
-            (data, (self.train[:, 0], self.train[:, 1])),
-            shape=(self.n_entities, self.n_relations),
-        )
 
 
 def _parse_split(path: Path, entity_index: dict, relation_index: dict,

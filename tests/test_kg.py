@@ -118,11 +118,16 @@ class TestAdjacency:
         A1 = kg.relation_csr(1).toarray()
         assert A1[0, 2] == 1.0 and A1.sum() == 1.0
 
-    def test_relation_counts_matrix(self):
-        kg = graph_from_triples(
-            [(0, 0, 1), (0, 0, 2), (0, 1, 1), (2, 1, 0)], 3, 2)
-        C = kg.relation_counts().toarray()
-        np.testing.assert_array_equal(C, [[2, 1], [0, 0], [0, 1]])
+    def test_adjacency_is_built_on_first_use(self):
+        kg = graph_from_triples([(0, 0, 1), (1, 1, 2), (0, 1, 2)], 3, 2)
+        aug = add_reciprocal(kg)
+        derived = {"_neighbor_lists", "head_pairs", "tail_pairs"}
+        assert not derived & set(vars(kg)), "the replaced graph built its adjacency"
+        tails, rels = aug.neighbors(2)
+        assert sorted(zip(tails.tolist(), rels.tolist())) == [(0, 3), (1, 3)]
+        assert derived & set(vars(aug)) == {"_neighbor_lists"}
+        np.testing.assert_array_equal(aug.head_pairs.vertex, [0, 0, 1, 1, 2])
+        np.testing.assert_array_equal(aug.head_pairs.rel, [0, 1, 1, 2, 3])
 
 
 class TestReciprocal:

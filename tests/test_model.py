@@ -11,6 +11,8 @@ from hdkg.errors import ShapeError, StalenessError, NumericError
 from hdkg.hdc import BaseMatrix
 from hdkg.kg import tail_index
 from hdkg.model import (
+    BACKWARD_MODES,
+    SCORE_SIGNS,
     Gradients,
     ModelState,
     Optimizer,
@@ -387,6 +389,161 @@ class TestBackward:
             chunked_backward(self.state, self.kg, sig, delta, T=2, mode="exotic")
 
 
+def record_routes(monkeypatch):
+    """Names of the sign-contraction routes chunked_backward takes, in call order."""
+    ran = []
+    for name in ("_dense_contraction", "_split_contraction"):
+        def spy(*args, _original=getattr(model, name), _name=name, **kwargs):
+            ran.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(model, name, spy)
+    return ran
+
+
+def split_case(regime, score_sign):
+    """A batch whose delta has the named shape.
+
+    floor    every score underflows, so each row's off-positive cells sit at
+             the label-smoothing floor and only the positives are residual
+    partial  near-binary hypervectors and a bias at the 1% score quantile:
+             a few off-positive cells carry gradient, the rest are floor
+    ties     floor, with hypervectors on a coarse grid, relation 0 zeroed so
+             its queries equal their subject's memory, and a repeated query
+    dense    initial scores, every cell carries its own gradient
+    """
+    kg = make_graph(30, 3, 90, seed=4)
+    index = tail_index(kg.train)
+    subjects, rels = kg.train[:8, 0].copy(), kg.train[:8, 1].copy()
+    D = 128 if regime == "partial" else 16
+    state = fresh_state(kg, d=6, D=D, seed=4, score_sign=score_sign)
+    far = -1e3 if score_sign == "neg" else -1e4
+    if regime == "floor":
+        state.bias = far
+    elif regime == "partial":
+        state.e_v *= 30
+        state.e_r *= 30
+        state.refresh(kg)
+        norms = np.abs(score_batch(state, subjects, rels).raw)
+        state.bias = (np.quantile(norms, 0.01) if score_sign == "neg"
+                      else -np.quantile(norms, 0.99))
+    elif regime == "ties":
+        state.bias = far
+        state.H_v = np.round(state.H_v * 8) / 8
+        state.H_r = np.round(state.H_r * 8) / 8
+        state.H_r[0] = 0.0
+        state.M_v, state.G = memorize_edge_list(kg, state.H_v, state.H_r)
+        subjects[1], rels[1] = subjects[0], rels[0]
+    targets = [index[(int(s), int(r))] for s, r in zip(subjects, rels)]
+    return kg, state, subjects, rels, targets
+
+
+def active_cells(delta):
+    V = delta.shape[1]
+    return int((delta != np.partition(delta, V // 2, axis=1)[:, [V // 2]]).sum())
+
+
+class TestSplitContraction:
+    """The row-constant-plus-residual contraction against the dense tiles.
+
+    Forcing SPLIT_MAX_ACTIVE below zero makes every call take the dense
+    tiles, which are the oracle.  The split only reassociates sums, so the
+    tolerance is a few ulps of the largest entry.
+    """
+
+    RTOL = 1e-12
+
+    def run_both(self, monkeypatch, kg, state, sig, delta, mode, T):
+        with monkeypatch.context() as m:
+            m.setattr(model, "SPLIT_MAX_ACTIVE", -1.0)
+            want = chunked_backward(state, kg, sig, delta, T=kg.n_entities,
+                                    mode=mode, return_internals=True)
+        got = chunked_backward(state, kg, sig, delta, T=T, mode=mode,
+                               return_internals=True)
+        return got, want
+
+    def assert_close(self, got, want):
+        (g, gi), (w, wi) = got, want
+        for name, a, b in (("e_v", g.e_v, w.e_v), ("e_r", g.e_r, w.e_r),
+                           ("gM", gi["gM_candidates"], wi["gM_candidates"]),
+                           ("gQ", gi["gQ"], wi["gQ"])):
+            assert a.dtype == b.dtype
+            assert np.abs(a - b).max() <= self.RTOL * np.abs(b).max(), name
+        assert g.bias == w.bias
+
+    @pytest.mark.parametrize("score_sign", SCORE_SIGNS)
+    @pytest.mark.parametrize("regime,route", [
+        ("floor", "_split_contraction"), ("partial", "_split_contraction"),
+        ("ties", "_split_contraction"), ("dense", "_dense_contraction")])
+    def test_matches_dense_tiles(self, monkeypatch, regime, route, score_sign):
+        kg, state, subjects, rels, targets = split_case(regime, score_sign)
+        ran = record_routes(monkeypatch)
+        positives = sum(len(t) for t in targets)
+        for cache in (False, True):
+            sig = score_batch(state, subjects, rels, cache_signs=cache)
+            _, delta = loss_and_delta(sig, targets, kg.n_entities)
+            n_active = active_cells(delta)
+            if regime == "floor":
+                assert n_active == positives
+            elif regime == "partial":
+                assert positives < n_active <= model.SPLIT_MAX_ACTIVE * delta.size
+            for mode in BACKWARD_MODES:
+                for T in (1, 7, kg.n_entities):
+                    ran.clear()
+                    got, want = self.run_both(monkeypatch, kg, state, sig, delta, mode, T)
+                    assert ran == ["_dense_contraction", route]
+                    self.assert_close(got, want)
+
+    def test_ties_are_present(self):
+        kg, state, subjects, rels, _ = split_case("ties", "neg")
+        sig = score_batch(state, subjects, rels)
+        diff = sig.Q[:, None, :] - state.M_v[None, :, :]
+        assert (diff == 0).all(axis=2).any()          # whole-vector ties
+        assert (diff == 0).sum() > diff.size // 10    # and many per-dimension ones
+        np.testing.assert_array_equal(sig.Q[0], sig.Q[1])
+
+    def test_cached_signs_are_exact_on_the_split_route(self, monkeypatch):
+        kg, state, subjects, rels, targets = split_case("partial", "neg")
+        ran = record_routes(monkeypatch)
+        cached = score_batch(state, subjects, rels, cache_signs=True)
+        plain = score_batch(state, subjects, rels)
+        _, delta = loss_and_delta(plain, targets, kg.n_entities)
+        for mode in BACKWARD_MODES:
+            a = chunked_backward(state, kg, cached, delta, T=7, mode=mode)
+            b = chunked_backward(state, kg, plain, delta, T=7, mode=mode)
+            np.testing.assert_array_equal(a.e_v, b.e_v)
+            np.testing.assert_array_equal(a.e_r, b.e_r)
+        assert set(ran) == {"_split_contraction"}
+
+    @pytest.mark.parametrize("regime", ["partial", "dense"])
+    def test_no_label_smoothing_falls_back(self, monkeypatch, regime):
+        # Without smoothing each negative's delta is its own P / (B V): no
+        # two cells of a row share a value unless P underflows.
+        kg, state, subjects, rels, targets = split_case(regime, "neg")
+        ran = record_routes(monkeypatch)
+        sig = score_batch(state, subjects, rels)
+        _, delta = loss_and_delta(sig, targets, kg.n_entities, label_smoothing=0.0)
+        assert active_cells(delta) > model.SPLIT_MAX_ACTIVE * delta.size
+        chunked_backward(state, kg, sig, delta, T=7, mode="hardware")
+        assert ran == ["_dense_contraction"]
+
+    def test_float32_split_matches_dense_tiles(self, monkeypatch):
+        kg = make_graph(30, 3, 90, seed=4)
+        index = tail_index(kg.train)
+        subjects, rels = kg.train[:8, 0].copy(), kg.train[:8, 1].copy()
+        targets = [index[(int(s), int(r))] for s, r in zip(subjects, rels)]
+        state = fresh_state(kg, d=6, D=16, seed=4, dtype=np.float32)
+        state.bias = -1e3
+        ran = record_routes(monkeypatch)
+        sig = score_batch(state, subjects, rels)
+        _, delta = loss_and_delta(sig, targets, kg.n_entities)
+        got, want = self.run_both(monkeypatch, kg, state, sig, delta, "hardware", 7)
+        assert ran == ["_dense_contraction", "_split_contraction"]
+        assert got[0].e_v.dtype == np.float32
+        for a, b in ((got[0].e_v, want[0].e_v), (got[1]["gM_candidates"],
+                                                 want[1]["gM_candidates"])):
+            assert np.abs(a - b).max() <= 1e-5 * np.abs(b).max()
+
+
 class TestOptimizer:
     def test_sgd_step(self):
         state = fresh_state(tiny_graph(), d=2, D=4)
@@ -423,6 +580,22 @@ class TestOptimizer:
                       e_r=np.zeros_like(state.e_r), bias=5.0)
         Optimizer(OptimizerConfig(lr=0.1, bias_trainable=False)).step(state, g)
         assert state.bias == 0.0
+
+    @pytest.mark.parametrize("bad", ["e_v", "e_r", "bias"])
+    def test_non_finite_gradient_raises_before_update(self, bad):
+        state = fresh_state(tiny_graph(), d=2, D=4)
+        before = (state.e_v.copy(), state.e_r.copy(), state.bias)
+        g = Gradients(e_v=np.ones_like(state.e_v), e_r=np.ones_like(state.e_r),
+                      bias=1.0)
+        if bad == "bias":
+            g.bias = math.nan
+        else:
+            getattr(g, bad)[1, 0] = math.inf
+        with pytest.raises(NumericError, match=f"gradient for {bad}"):
+            Optimizer(OptimizerConfig(lr=0.1, adaptive=True)).step(state, g)
+        np.testing.assert_array_equal(state.e_v, before[0])
+        np.testing.assert_array_equal(state.e_r, before[1])
+        assert state.bias == before[2] and state.mv_fresh
 
 
 class TestTrainer:
