@@ -30,11 +30,13 @@ supported dtypes.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import CheckpointFormatError
 from .model import ModelState
 from .hdc import BaseMatrix
@@ -50,6 +52,10 @@ FLAG_IDENTITY = 1 << 2
 FLAG_BIAS_FROZEN = 1 << 3
 FLAG_ADAPTIVE = 1 << 4
 FLAG_FLOAT32 = 1 << 5
+
+# The base matrix is regenerated from the seed on load, so a header could ask
+# for any amount of memory; past this many d x D cells it is taken as corrupt.
+MAX_BASE_CELLS = 1 << 24
 
 OPTIMIZERS = {"sgd": 0}
 OPTIMIZER_NAMES = {v: k for k, v in OPTIMIZERS.items()}
@@ -81,7 +87,7 @@ def save_checkpoint(path, state: ModelState, seed: int, config_hash: bytes,
         OPTIMIZERS[optimizer], lr, momentum, label_smoothing,
         GENERATOR_TAG.encode("ascii").ljust(16, b"\0"), config_hash,
         float(state.bias))
-    with open(Path(path), "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(state.e_v, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(state.e_r, dtype="<f8").tobytes())
@@ -108,10 +114,24 @@ def load_checkpoint(path) -> tuple[ModelState, dict]:
                 f"{path}: unsupported version {version} (expected {VERSION})")
         if opt not in OPTIMIZER_NAMES:
             raise CheckpointFormatError(f"{path}: unknown optimizer code {opt}")
-        ev_bytes = fh.read(n_ent * d * 8)
-        er_bytes = fh.read(n_rel * d * 8)
-        if len(ev_bytes) != n_ent * d * 8 or len(er_bytes) != n_rel * d * 8:
-            raise CheckpointFormatError(f"{path}: truncated parameter arrays")
+        if not 0 < d * D <= MAX_BASE_CELLS:
+            raise CheckpointFormatError(
+                f"{path}: base matrix {d} x {D} outside 1..{MAX_BASE_CELLS} cells")
+        try:
+            prng = prng_tag.rstrip(b"\0").decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(f"{path}: generator tag is not ascii ({exc})") from exc
+        # Compare the declared sizes with the file before reading anything.
+        ev_size, er_size = n_ent * d * 8, n_rel * d * 8
+        left = os.fstat(fh.fileno()).st_size - size
+        if left < ev_size + er_size:
+            raise CheckpointFormatError(
+                f"{path}: truncated parameter arrays (header declares "
+                f"{ev_size + er_size} bytes, {left} left)")
+        if left > ev_size + er_size:
+            raise CheckpointFormatError(f"{path}: trailing bytes after e_r")
+        ev_bytes = fh.read(ev_size)
+        er_bytes = fh.read(er_size)
     dtype = np.float32 if flags & FLAG_FLOAT32 else np.float64
     e_v = np.frombuffer(ev_bytes, dtype="<f8").reshape(n_ent, d).astype(dtype)
     e_r = np.frombuffer(er_bytes, dtype="<f8").reshape(n_rel, d).astype(dtype)
@@ -128,7 +148,7 @@ def load_checkpoint(path) -> tuple[ModelState, dict]:
         "label_smoothing": smoothing,
         "bias_trainable": not flags & FLAG_BIAS_FROZEN,
         "adaptive": bool(flags & FLAG_ADAPTIVE),
-        "prng": prng_tag.rstrip(b"\0").decode("ascii"),
+        "prng": prng,
         "config_hash": config_hash.hex(),
     }
     return state, meta

@@ -129,7 +129,11 @@ def build_config(preset: str | None = None, config_path=None,
         path = Path(config_path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        merged.update(parse_config_text(path.read_text(), source=str(path)))
+        try:
+            text = path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not valid UTF-8 ({exc})") from None
+        merged.update(parse_config_text(text, source=str(path)))
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value

@@ -7,14 +7,24 @@ train, then valid, then test (head before tail within a line).
 
 Adjacency follows the directed out-neighbor convention: ``neighbors(i)``
 is the multiset of ``(tail, relation)`` pairs over train triples with head
-``i``.  Duplicate triples are retained; nothing here deduplicates.  Two
-pair indexes group the same train triples by (head, relation) and by
-(tail, relation) for the memorization walks of :mod:`hdkg.model`.
+``i``.  Duplicate triples are retained in the adjacency.
+
+Every grouping by (vertex, relation) goes through one builder,
+:meth:`PairIndex.build`: one sort of the combined ``(vertex * |R| + rel) *
+|V| + member`` keys, split into sorted pair keys plus a CSR of sorted
+members.  The graph's ``head_pairs`` and ``tail_pairs`` group the train
+triples for the memorization walks of :mod:`hdkg.model`, duplicates kept.
+:func:`tail_index` builds the same structure over any splits with
+duplicates dropped; it gives the trainer its multi-hot targets and filtered
+ranking its known tails, both looked up a batch at a time.
 """
 
 from __future__ import annotations
 
+import operator
+import os
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -22,44 +32,124 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from .atomic import atomic_write
 from .errors import DatasetFormatError, TripleParseError
 
 SPLIT_FILES = ("train.txt", "valid.txt", "test.txt")
 
 CACHE_MAGIC = b"HDKG"
 CACHE_VERSION = 1
+CACHE_HEADER = "<IIQQQQQ"   # version, augmented, |V|, |R|, train, valid, test counts
+NAME_LENGTH = struct.Struct("<I")
 
 RECIPROCAL_SUFFIX = "_reverse"
 
 
-@dataclass(frozen=True)
-class PairIndex:
-    """Distinct (vertex, relation) pairs of the train split and their members.
+@dataclass(frozen=True, eq=False)
+class PairIndex(Mapping):
+    """Triples grouped by (vertex, relation): sorted pair keys plus a CSR of members.
 
-    Pairs are sorted by vertex, then relation.  ``members`` is a
-    (pairs, |V|) CSR matrix whose row p holds one unit entry per train
-    triple joining pair p's vertex to a member vertex under pair p's
-    relation, sorted by member id; duplicate triples stay separate entries.
+    Pair p has key ``key[p] = vertex * n_relations + rel``.  Keys are sorted,
+    so pairs run by vertex, then relation.  Pair p's members are
+    ``member[indptr[p]:indptr[p + 1]]``, sorted by id; duplicate triples stay
+    separate members unless the index was built ``unique``.
+
+    The index reads as a read-only mapping (vertex, relation) -> int64 member
+    array, iterating over ``(vertex, relation)`` int tuples in key order.  A
+    pair that is absent, including one with an id past the largest indexed,
+    raises ``KeyError`` from ``[...]`` and gives ``None`` from ``get``.  Batch
+    code uses :meth:`lookup` instead, one ``searchsorted`` for a whole batch.
     """
 
-    vertex: np.ndarray
-    rel: np.ndarray
-    members: sp.csr_matrix
+    key: np.ndarray
+    indptr: np.ndarray
+    member: np.ndarray
+    n_entities: int
+    n_relations: int
 
     @classmethod
     def build(cls, vertex: np.ndarray, rel: np.ndarray, other: np.ndarray,
-              n_entities: int, n_relations: int) -> "PairIndex":
-        pair, member = np.divmod(np.sort((vertex * n_relations + rel) * n_entities + other),
-                                 n_entities)
+              n_entities: int, n_relations: int, unique: bool = False) -> "PairIndex":
+        """Group (vertex, rel, other) rows by pair with one sort of their combined keys.
+
+        With ``unique``, repeated rows keep only their first copy, so each
+        pair's members are distinct.
+        """
+        code = np.sort((vertex * n_relations + rel) * n_entities + other)
+        if unique and len(code):
+            first = np.empty(len(code), dtype=bool)
+            first[0] = True
+            np.not_equal(code[1:], code[:-1], out=first[1:])
+            code = code[first]
+        pair, member = np.divmod(code, max(n_entities, 1))
         starts = np.flatnonzero(np.diff(pair, prepend=-1))
-        members = sp.csr_matrix((np.ones(len(member)), member, np.append(starts, len(member))),
-                                shape=(len(starts), n_entities))
-        vertex, rel = np.divmod(pair[starts], n_relations)
-        return cls(vertex=vertex, rel=rel, members=members)
+        member.setflags(write=False)
+        return cls(key=pair[starts], indptr=np.append(starts, len(member)), member=member,
+                   n_entities=n_entities, n_relations=n_relations)
 
     @property
     def n_pairs(self) -> int:
-        return len(self.vertex)
+        return len(self.key)
+
+    @cached_property
+    def _vertex_rel(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.divmod(self.key, max(self.n_relations, 1))
+
+    @property
+    def vertex(self) -> np.ndarray:
+        return self._vertex_rel[0]
+
+    @property
+    def rel(self) -> np.ndarray:
+        return self._vertex_rel[1]
+
+    @cached_property
+    def members(self) -> sp.csr_matrix:
+        """(pairs, |V|) CSR with one unit entry per member, for the graph walks."""
+        return sp.csr_matrix((np.ones(len(self.member)), self.member, self.indptr),
+                             shape=(self.n_pairs, self.n_entities))
+
+    def find(self, vertex, rel) -> np.ndarray:
+        """Position of each (vertex, rel) pair among the keys, -1 where absent."""
+        vertex = np.asarray(vertex, dtype=np.int64)
+        rel = np.asarray(rel, dtype=np.int64)
+        if not self.n_pairs:
+            return np.full(np.broadcast(vertex, rel).shape, -1)
+        key = vertex * self.n_relations + rel
+        pos = np.searchsorted(self.key, key)
+        found = ((self.key.take(pos, mode="clip") == key)
+                 & (vertex >= 0) & (vertex < self.n_entities)
+                 & (rel >= 0) & (rel < self.n_relations))
+        return np.where(found, pos, -1)
+
+    def lookup(self, vertex, rel) -> tuple[np.ndarray, np.ndarray]:
+        """Members of a batch of (vertex, rel) rows, flattened as (row, member).
+
+        Entries run row by row in batch order, each row's members sorted; an
+        absent pair gives its row no entries.
+        """
+        pos = self.find(vertex, rel)
+        lo = np.where(pos >= 0, self.indptr[pos], 0)
+        counts = np.where(pos >= 0, self.indptr[pos + 1], 0) - lo
+        row = np.repeat(np.arange(len(counts)), counts)
+        skip = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        return row, self.member[np.arange(len(row)) + skip]
+
+    def __getitem__(self, pair) -> np.ndarray:
+        try:
+            vertex, rel = map(operator.index, pair)
+            (p,) = self.find([vertex], [rel])
+        except (TypeError, ValueError, OverflowError):
+            raise KeyError(pair) from None
+        if p < 0:
+            raise KeyError(pair)
+        return self.member[self.indptr[p]:self.indptr[p + 1]]
+
+    def __iter__(self):
+        return zip(self.vertex.tolist(), self.rel.tolist())
+
+    def __len__(self) -> int:
+        return self.n_pairs
 
 
 @dataclass
@@ -253,21 +343,27 @@ def dataset_stats(kg: KnowledgeGraph) -> dict:
     }
 
 
-def tail_index(*splits: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """Map (head, relation) -> sorted unique array of known tails across splits."""
-    index: dict[tuple[int, int], set] = {}
-    for split in splits:
-        for h, r, t in split.tolist():
-            index.setdefault((h, r), set()).add(t)
-    return {key: np.asarray(sorted(tails), dtype=np.int64) for key, tails in index.items()}
+def tail_index(*splits: np.ndarray) -> PairIndex:
+    """Index (head, relation) -> sorted unique known tails across the splits.
+
+    One sort of the splits' (head, relation, tail) keys builds it; |V| and
+    |R| are one more than the largest entity and relation ids in the splits.
+    """
+    rows = np.concatenate([np.asarray(split, dtype=np.int64).reshape(-1, 3)
+                           for split in splits] or [np.empty((0, 3), dtype=np.int64)])
+    if len(rows) and rows.min() < 0:
+        raise ValueError("tail_index needs non-negative ids")
+    heads, rels, tails = rows.T
+    n_entities = int(max(heads.max(), tails.max())) + 1 if len(rows) else 0
+    n_relations = int(rels.max()) + 1 if len(rows) else 0
+    return PairIndex.build(heads, rels, tails, n_entities, n_relations, unique=True)
 
 
 def save_cache(kg: KnowledgeGraph, path) -> None:
     """Write the graph to a binary cache file (magic ``HDKG``, little-endian)."""
-    path = Path(path)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<IIQQQQQ", CACHE_VERSION, int(kg.augmented),
+        fh.write(struct.pack(CACHE_HEADER, CACHE_VERSION, int(kg.augmented),
                              kg.n_entities, kg.n_relations,
                              len(kg.train), len(kg.valid), len(kg.test)))
         for names in (kg.entities, kg.relations):
@@ -280,48 +376,63 @@ def save_cache(kg: KnowledgeGraph, path) -> None:
 
 
 def load_cache(path) -> KnowledgeGraph:
-    """Read a binary cache written by :func:`save_cache`."""
+    """Read a binary cache written by :func:`save_cache`.
+
+    The header's counts are checked against the file size before anything
+    else is read, so a corrupt count raises :class:`DatasetFormatError`
+    instead of asking for an impossible read.
+    """
     path = Path(path)
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != CACHE_MAGIC:
+    header_size = len(CACHE_MAGIC) + struct.calcsize(CACHE_HEADER)
+    with open(path, "rb") as fh:
+        left = os.fstat(fh.fileno()).st_size - header_size
+        head = fh.read(header_size)
+        if head[:4] != CACHE_MAGIC:
+            raise DatasetFormatError(
+                f"{path}: not a dataset cache (magic {head[:4]!r}, "
+                f"expected {CACHE_MAGIC!r})")
+        if len(head) != header_size:
+            raise DatasetFormatError(f"{path}: truncated header")
+        version, augmented, n_ent, n_rel, n_train, n_valid, n_test = struct.unpack_from(
+            CACHE_HEADER, head, len(CACHE_MAGIC))
+        if version != CACHE_VERSION:
+            raise DatasetFormatError(
+                f"{path}: unsupported cache version {version} (expected {CACHE_VERSION})")
+        # Each name takes at least its 4-byte length and each triple 12 bytes.
+        least = 4 * (n_ent + n_rel) + 12 * (n_train + n_valid + n_test)
+        if least > left:
+            raise DatasetFormatError(
+                f"{path}: truncated name table or split data (header declares at "
+                f"least {least} bytes, {left} left)")
+        body = fh.read()
+    offset = 0
+
+    def read_names(count):
+        nonlocal offset
+        names = []
+        for _ in range(count):
+            try:
+                (length,) = NAME_LENGTH.unpack_from(body, offset)
+            except struct.error:
+                raise DatasetFormatError(f"{path}: truncated name table") from None
+            start, offset = offset + 4, offset + 4 + length
+            blob = body[start:offset]
+            if len(blob) != length:
+                raise DatasetFormatError(f"{path}: truncated name table")
+            try:
+                names.append(blob.decode("utf-8"))
+            except UnicodeDecodeError as exc:
                 raise DatasetFormatError(
-                    f"{path}: not a dataset cache (magic {magic!r}, "
-                    f"expected {CACHE_MAGIC!r})")
-            header = fh.read(struct.calcsize("<IIQQQQQ"))
-            version, augmented, n_ent, n_rel, n_train, n_valid, n_test = struct.unpack(
-                "<IIQQQQQ", header)
-            if version != CACHE_VERSION:
-                raise DatasetFormatError(
-                    f"{path}: unsupported cache version {version} (expected {CACHE_VERSION})")
+                    f"{path}: name {len(names)} is not valid UTF-8 ({exc})") from exc
+        return names
 
-            def read_names(count):
-                names = []
-                for _ in range(count):
-                    (length,) = struct.unpack("<I", fh.read(4))
-                    blob = fh.read(length)
-                    if len(blob) != length:
-                        raise DatasetFormatError(f"{path}: truncated name table")
-                    try:
-                        names.append(blob.decode("utf-8"))
-                    except UnicodeDecodeError as exc:
-                        raise DatasetFormatError(
-                            f"{path}: name {len(names)} is not valid UTF-8 ({exc})") from exc
-                return names
-
-            entities = read_names(n_ent)
-            relations = read_names(n_rel)
-
-            def read_split(count):
-                raw = fh.read(count * 3 * 4)
-                if len(raw) != count * 3 * 4:
-                    raise DatasetFormatError(f"{path}: truncated split data")
-                return np.frombuffer(raw, dtype="<i4").reshape(count, 3).astype(np.int64)
-
-            splits = [read_split(n) for n in (n_train, n_valid, n_test)]
-            if fh.read(1):
-                raise DatasetFormatError(f"{path}: trailing bytes after split data")
-    except struct.error as exc:
-        raise DatasetFormatError(f"{path}: truncated header ({exc})") from exc
+    entities = read_names(n_ent)
+    relations = read_names(n_rel)
+    n_triples = n_train + n_valid + n_test
+    if len(body) - offset < 12 * n_triples:
+        raise DatasetFormatError(f"{path}: truncated split data")
+    if len(body) - offset > 12 * n_triples:
+        raise DatasetFormatError(f"{path}: trailing bytes after split data")
+    rows = np.frombuffer(body, dtype="<i4", offset=offset).reshape(-1, 3).astype(np.int64)
+    splits = np.split(rows, [n_train, n_train + n_valid])
     return KnowledgeGraph(entities, relations, *splits, augmented=bool(augmented))

@@ -275,11 +275,13 @@ def loss_and_delta(signals: ScoreSignals, targets, n_candidates: int,
     """
     B = len(signals.subjects)
     y = np.zeros((B, n_candidates), dtype=signals.P.dtype)
-    for j, tails in enumerate(targets):
-        tails = np.asarray(tails, dtype=np.int64)
-        if len(tails) and (tails.min() < 0 or tails.max() >= n_candidates):
-            raise ValueError(f"target id out of range in row {j}")
-        y[j, tails] = 1.0
+    tails = [np.asarray(t, dtype=np.int64).reshape(-1) for t in targets]
+    rows = np.repeat(np.arange(len(tails)), [len(t) for t in tails])
+    cols = np.concatenate([np.empty(0, dtype=np.int64), *tails])
+    bad = (cols < 0) | (cols >= n_candidates)
+    if bad.any():
+        raise ValueError(f"target id out of range in row {rows[bad.argmax()]}")
+    y[rows, cols] = 1.0
     if not 0.0 <= label_smoothing < 1.0:
         raise ValueError("label_smoothing must be in [0, 1)")
     if label_smoothing:
@@ -566,7 +568,8 @@ class Trainer:
             t1 = time.perf_counter()
             signals = score_batch(state, rows[:, 0], rows[:, 1])
             t2 = time.perf_counter()
-            targets = [self.tails[(int(h), int(r))] for h, r, _ in rows]
+            row, tails = self.tails.lookup(rows[:, 0], rows[:, 1])
+            targets = np.split(tails, np.searchsorted(row, np.arange(1, len(rows))))
             loss, delta = loss_and_delta(signals, targets, kg.n_entities,
                                          label_smoothing=cfg.label_smoothing)
             t3 = time.perf_counter()

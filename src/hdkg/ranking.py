@@ -21,7 +21,9 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .atomic import atomic_write
 from .errors import ShapeError
+from .kg import PairIndex
 from .model import ModelState
 
 HITS_LEVELS = (1, 3, 10)
@@ -51,9 +53,13 @@ def raw_scores(view, subjects, rels) -> np.ndarray:
     return view.bias - norms if view.score_sign == "neg" else view.bias + norms
 
 
-def rank_queries(view, queries: np.ndarray, filter_index: dict | None = None,
+def rank_queries(view, queries: np.ndarray, filter_index: PairIndex | None = None,
                  filtered: bool = True, batch_size: int = 128) -> np.ndarray:
-    """Pessimistic tail ranks for (head, rel, tail) query rows."""
+    """Pessimistic tail ranks for (head, rel, tail) query rows.
+
+    Filtered ranking takes its known tails from ``filter_index``, an index
+    built by :func:`hdkg.kg.tail_index`.
+    """
     queries = np.asarray(queries)
     if queries.ndim != 2 or queries.shape[1] != 3:
         raise ShapeError(f"queries must be (n, 3), got {queries.shape}")
@@ -64,11 +70,9 @@ def rank_queries(view, queries: np.ndarray, filter_index: dict | None = None,
         rows = queries[b0:b0 + batch_size]
         scores = raw_scores(view, rows[:, 0], rows[:, 1])
         if filtered:
-            for j, (h, r, t) in enumerate(rows.tolist()):
-                known = filter_index.get((h, r))
-                if known is not None and len(known) > 1:
-                    mask = known[known != t]
-                    scores[j, mask] = -np.inf
+            row, known = filter_index.lookup(rows[:, 0], rows[:, 1])
+            other = known != rows[row, 2]
+            scores[row[other], known[other]] = -np.inf
         target_scores = scores[np.arange(len(rows)), rows[:, 2]]
         greater = (scores > target_scores[:, None]).sum(axis=1)
         equal = (scores == target_scores[:, None]).sum(axis=1) - 1
@@ -118,7 +122,7 @@ def reconstruct_neighbors(state: ModelState, vertex: int, relation: int | None =
 
 
 def write_metrics_json(path, payload: dict) -> None:
-    with open(Path(path), "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -133,7 +137,7 @@ METRICS_CSV_FIELDS = ("split", "mode", "mrr", "hits1", "hits3", "hits10",
 
 
 def write_metrics_csv(path, rows: list[dict]) -> None:
-    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=METRICS_CSV_FIELDS)
         writer.writeheader()
         for row in rows:

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict, replace
-from pathlib import Path
 
 import numpy as np
 
+from ..atomic import atomic_write
 from .cache import Cache
 from .scheduler import Registry, schedule_epoch
 
@@ -251,7 +251,7 @@ def sweep_capacities(degrees, neighbors_of, n_relations: int, n_train: int,
 
 def write_sweep_csv(path, rows: list[dict]) -> None:
     import csv
-    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_FIELDS)
         writer.writeheader()
         for row in rows:

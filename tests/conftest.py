@@ -57,6 +57,15 @@ def graph_from_triples(triples, n_entities, n_relations,
     )
 
 
+def dict_tail_index(*splits) -> dict[tuple[int, int], np.ndarray]:
+    """Oracle for :func:`hdkg.kg.tail_index`: a dict of Python sets per (head, relation)."""
+    index: dict[tuple[int, int], set] = {}
+    for split in splits:
+        for h, r, t in np.asarray(split).reshape(-1, 3).tolist():
+            index.setdefault((h, r), set()).add(t)
+    return {key: np.asarray(sorted(tails), dtype=np.int64) for key, tails in index.items()}
+
+
 def make_graph(n_entities, n_relations, n_edges, seed=0, skew=0.0,
                max_out=None, n_valid=0, n_test=0,
                allow_dup=False) -> KnowledgeGraph:

@@ -1,6 +1,7 @@
 """Checkpoint format: roundtrips, flags, and corruption handling."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -131,6 +132,40 @@ class TestCorruption:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointFormatError, match="version"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("offset, fmt, value, message", [
+        (16, "<Q", 2 ** 62, "truncated parameter"),   # n_entities overflows a read
+        (24, "<Q", 2 ** 40, "truncated parameter"),   # n_relations exceeds the file
+        (8, "<I", 0, "base matrix"),                  # d = 0
+        (12, "<I", 2 ** 31, "base matrix"),           # D past MAX_BASE_CELLS
+        (72, "<4s", b"\xff\xfe\xfd\xfc", "ascii"),    # generator tag
+    ])
+    def test_corrupt_header_field(self, tmp_path, offset, fmt, value, message):
+        path = tmp_path / "model.hdck"
+        save_checkpoint(path, some_state(), seed=9, config_hash=DIGEST)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into(fmt, blob, offset, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointFormatError, match=message):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.hdck"
+        save_checkpoint(path, some_state(), seed=9, config_hash=DIGEST)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(CheckpointFormatError, match="trailing bytes"):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "model.hdck"
+        save_checkpoint(path, some_state(), seed=9, config_hash=DIGEST)
+        before = path.read_bytes()
+        broken = some_state(seed=3)
+        broken.e_r = np.array([["not a number"]], dtype=object)  # fails after the header
+        with pytest.raises(ValueError):
+            save_checkpoint(path, broken, seed=3, config_hash=DIGEST)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.hdck"]
 
     def test_short_digest_rejected_on_save(self, tmp_path):
         with pytest.raises(ValueError, match="32 bytes"):

@@ -164,7 +164,8 @@ class TestCliIngest:
     @pytest.mark.parametrize("corrupt", [
         lambda blob: blob.replace(b"\x01\x00\x00\x00a", b"\x01\x00\x00\x00\xff"),
         lambda blob: blob + b"\x00",
-    ], ids=["name-not-utf8", "trailing-bytes"])
+        lambda blob: blob[:28] + (2 ** 62).to_bytes(8, "little") + blob[36:],
+    ], ids=["name-not-utf8", "trailing-bytes", "train-count-overflows"])
     def test_corrupt_cache_is_exit_3(self, dataset_dir, tmp_path, capsys, corrupt):
         out = tmp_path / "out"
         run_cli("ingest", "--dataset", str(dataset_dir), "--out-dir", str(out))
@@ -250,6 +251,15 @@ class TestCliEval:
         bad.write_bytes(b"JUNKJUNKJUNK" * 30)
         assert run_cli("eval", "--dataset", str(dataset_dir),
                        "--checkpoint", str(bad), "--out-dir", str(tmp_path)) == 3
+
+    def test_checkpoint_count_past_the_file_is_exit_3(self, dataset_dir, trained_dir,
+                                                      tmp_path, capsys):
+        bad = tmp_path / "bad.hdck"
+        blob = (trained_dir / "model.hdck").read_bytes()
+        bad.write_bytes(blob[:16] + (2 ** 62).to_bytes(8, "little") + blob[24:])
+        assert run_cli("eval", "--dataset", str(dataset_dir),
+                       "--checkpoint", str(bad), "--out-dir", str(tmp_path)) == 3
+        assert "truncated parameter" in capsys.readouterr().err
 
     def test_missing_checkpoint_file_is_exit_3(self, dataset_dir, tmp_path,
                                                capsys):

@@ -1,9 +1,13 @@
 """Dataset loading, adjacency, reciprocal augmentation, and the binary cache."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import graph_from_triples, make_graph
+from conftest import dict_tail_index, graph_from_triples, make_graph
 from hdkg.errors import DatasetFormatError, TripleParseError
 from hdkg.kg import (
     KnowledgeGraph,
@@ -153,6 +157,15 @@ class TestReciprocal:
         assert kg.n_relations == 1 and len(kg.train) == 1
 
 
+# Small id ranges so that hypothesis draws plenty of duplicate triples.
+_triples = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3), st.integers(0, 6)),
+                    max_size=40)
+
+
+def _split(rows):
+    return np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+
+
 class TestTailIndex:
     def test_merges_splits_sorted_unique(self):
         a = np.array([[0, 0, 2], [0, 0, 1], [0, 0, 2]])
@@ -161,6 +174,74 @@ class TestTailIndex:
         np.testing.assert_array_equal(index[(0, 0)], [1, 2, 3])
         np.testing.assert_array_equal(index[(1, 0)], [0])
         assert set(index) == {(0, 0), (1, 0)}
+
+    @settings(max_examples=200, deadline=None)
+    @given(splits=st.lists(_triples, max_size=3),
+           probes=st.lists(st.tuples(st.integers(-2, 9), st.integers(-2, 6)), max_size=20))
+    def test_matches_dict_of_sets(self, splits, probes):
+        arrays = [_split(rows) for rows in splits]
+        index, oracle = tail_index(*arrays), dict_tail_index(*arrays)
+        assert len(index) == len(oracle)
+        assert list(index) == sorted(oracle)
+        for key, tails in oracle.items():
+            got = index[key]
+            assert got.dtype == np.int64 and not got.flags.writeable
+            np.testing.assert_array_equal(got, tails)
+        for key in probes:
+            if key in oracle:
+                np.testing.assert_array_equal(index.get(key), oracle[key])
+            else:
+                assert index.get(key) is None
+                with pytest.raises(KeyError):
+                    index[key]
+        heads, rels = (np.array([k[i] for k in probes], dtype=np.int64) for i in (0, 1))
+        row, member = index.lookup(heads, rels)
+        expected = [(j, t) for j, key in enumerate(probes) for t in oracle.get(key, [])]
+        assert list(zip(row.tolist(), member.tolist())) == expected
+
+    def test_iteration_yields_int_tuples(self):
+        index = tail_index(np.array([[3, 1, 0], [0, 2, 1]]))
+        keys = list(index)
+        assert keys == [(0, 2), (3, 1)]
+        assert all(type(h) is int and type(r) is int for h, r in keys)
+
+    def test_empty_splits(self):
+        empty = np.empty((0, 3), dtype=np.int64)
+        for index in (tail_index(), tail_index(empty, empty)):
+            assert len(index) == 0 and list(index) == []
+            assert index.get((0, 0)) is None
+            row, member = index.lookup(np.array([0, 1]), np.array([0, 0]))
+            assert row.size == member.size == 0
+
+    def test_relation_only_in_test(self):
+        train = np.array([[0, 0, 1], [1, 0, 2]])
+        test = np.array([[2, 1, 0]])
+        index = tail_index(train, test)
+        np.testing.assert_array_equal(index[(2, 1)], [0])
+        assert tail_index(train).get((2, 1)) is None
+
+    def test_ids_past_the_largest_are_absent(self):
+        # (0, 2) would alias key 0 * 2 + 2 == (1, 0) if the relation id went unchecked
+        index = tail_index(np.array([[0, 0, 1], [1, 0, 0], [0, 1, 1]]))
+        for key in ((0, 2), (2, 0), (-1, 1), (0, -1), (2 ** 62, 0), (0, 2 ** 70)):
+            assert index.get(key) is None
+            assert key not in index
+        assert index.get("not a pair") is None
+        assert index.find([0, 1, 0], [2, 0, 7]).tolist() == [-1, 2, -1]
+
+    def test_negative_ids_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            tail_index(np.array([[0, -1, 1]]))
+
+    def test_train_index_is_head_pairs_without_duplicates(self):
+        kg = make_graph(20, 3, 80, seed=4)
+        train = np.concatenate([kg.train, kg.train[:10]])
+        kg = graph_from_triples(train, 20, 3)
+        index, pairs = tail_index(kg.train), kg.head_pairs
+        np.testing.assert_array_equal(index.key, pairs.key)
+        for p, key in enumerate(index):
+            members = pairs.member[pairs.indptr[p]:pairs.indptr[p + 1]]
+            np.testing.assert_array_equal(index[key], np.unique(members))
 
 
 class TestStats:
@@ -213,6 +294,16 @@ class TestCache:
         save_cache(graph_from_triples([(0, 0, 1), (1, 0, 2)], 3, 1), path)
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(DatasetFormatError, match=message):
+            load_cache(path)
+
+    @pytest.mark.parametrize("count", [2 ** 62, 2 ** 64 - 1, 10 ** 6])
+    def test_counts_past_the_file_size(self, tmp_path, count):
+        path = tmp_path / "graph.bin"
+        save_cache(graph_from_triples([(0, 0, 1), (1, 0, 2)], 3, 1), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<Q", blob, 28, count)   # n_train follows magic, version,
+        path.write_bytes(bytes(blob))             # augmented, |V| and |R|
+        with pytest.raises(DatasetFormatError, match="header declares"):
             load_cache(path)
 
     def test_unicode_names_survive(self, tmp_path):

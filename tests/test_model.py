@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import graph_from_triples, make_graph
+from conftest import dict_tail_index, graph_from_triples, make_graph
 from hdkg import model
 from hdkg.errors import ShapeError, StalenessError, NumericError
 from hdkg.hdc import BaseMatrix
@@ -262,6 +262,32 @@ class TestLoss:
                            P=np.full((1, 3), 0.5))
         with pytest.raises(ValueError):
             loss_and_delta(sig, [[0]], 3, label_smoothing=1.0)
+
+    def test_first_bad_row_is_named(self):
+        sig = ScoreSignals(subjects=np.arange(3), rels=np.zeros(3, dtype=np.int64),
+                           Q=np.zeros((3, 2)), raw=np.zeros((3, 4)),
+                           P=np.full((3, 4), 0.5))
+        with pytest.raises(ValueError, match="row 1"):
+            loss_and_delta(sig, [[0], [1, 9], [-1]], 4)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_scatter_fill_matches_row_by_row_fill(self, eps):
+        gen = np.random.default_rng(5)
+        B, V = 6, 11
+        raw = gen.normal(scale=3.0, size=(B, V))
+        sig = ScoreSignals(subjects=np.arange(B), rels=np.zeros(B, dtype=np.int64),
+                           Q=np.zeros((B, 2)), raw=raw, P=1.0 / (1.0 + np.exp(-raw)))
+        targets = [[3, 3, 0], np.array([10, 2, 10]), [], np.array([], dtype=np.int64),
+                   (7,), np.array([1, 1, 1, 5])]
+        y = np.zeros((B, V))
+        for j, tails in enumerate(targets):
+            y[j, np.asarray(tails, dtype=np.int64)] = 1.0
+        if eps:
+            y = y * (1.0 - eps) + eps / V
+        want_loss = float((np.logaddexp(0.0, raw) - y * raw).mean())
+        loss, delta = loss_and_delta(sig, targets, V, label_smoothing=eps)
+        assert loss == want_loss
+        np.testing.assert_array_equal(delta, (sig.P - y) / (B * V))
 
 
 def analytic_grads(kg, state, subjects, rels, targets, ls=0.1, mode="reference",
@@ -599,6 +625,23 @@ class TestOptimizer:
 
 
 class TestTrainer:
+    def test_batch_targets_are_the_known_train_tails(self, monkeypatch):
+        kg = make_graph(15, 3, 45, seed=2)
+        kg = graph_from_triples(np.concatenate([kg.train, kg.train[:9]]), 15, 3)
+        oracle = dict_tail_index(kg.train)
+        seen = []
+
+        def spy(signals, targets, n_candidates, label_smoothing):
+            for h, r, tails in zip(signals.subjects, signals.rels, targets):
+                seen.append(len(tails))
+                np.testing.assert_array_equal(tails, oracle[(int(h), int(r))])
+            return loss_and_delta(signals, targets, n_candidates, label_smoothing)
+
+        monkeypatch.setattr(model, "loss_and_delta", spy)
+        state = ModelState.create(15, 3, d=4, D=16, seed=2)
+        Trainer(state, kg, TrainConfig(batch_size=16), seed=2).train_epoch()
+        assert len(seen) == len(kg.train)
+
     def test_deterministic_across_runs(self):
         kg = make_graph(15, 3, 45, seed=2)
         results = []

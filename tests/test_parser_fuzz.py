@@ -1,0 +1,92 @@
+"""Parsers meet arbitrary bytes: each may fail only with an HdkgError subclass.
+
+Covers the dataset cache, the checkpoint and the config file.  Inputs are
+arbitrary bytes, arbitrary bytes behind a valid magic and version (to get
+past the first check), and valid files with one byte changed, truncated or
+extended.  Header counts that exceed the file are caught before any read,
+so no example asks for more memory than the file holds (the checkpoint's
+regenerated base matrix is capped at MAX_BASE_CELLS).
+"""
+
+import struct
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import graph_from_triples
+from hdkg.checkpoint import load_checkpoint, save_checkpoint
+from hdkg.config import build_config
+from hdkg.errors import HdkgError
+from hdkg.kg import CACHE_MAGIC, CACHE_VERSION, save_cache, load_cache
+from hdkg.model import ModelState
+from hdkg import checkpoint
+
+FUZZ = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _variants(valid: bytes, prefix: bytes):
+    """Arbitrary bytes, bytes behind ``prefix``, and edits of a valid file."""
+    edited = st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)).map(
+        lambda edit: valid[:edit[0]] + bytes([edit[1]]) + valid[edit[0] + 1:])
+    return st.one_of(
+        st.binary(max_size=300),
+        st.binary(max_size=300).map(lambda tail: prefix + tail),
+        edited,
+        st.integers(0, len(valid)).map(lambda n: valid[:n]),
+        st.binary(min_size=1, max_size=20).map(lambda tail: valid + tail),
+    )
+
+
+def _fails_cleanly(load, path, blob):
+    path.write_bytes(blob)
+    try:
+        load(path)
+    except HdkgError:
+        pass
+
+
+def _valid_cache(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cache") / "graph.hdkg"
+    save_cache(graph_from_triples([(0, 0, 1), (1, 1, 2), (2, 0, 0), (0, 1, 2)], 3, 2,
+                                  n_valid=1, n_test=1), path)
+    return path.read_bytes()
+
+
+def _valid_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "model.hdck"
+    save_checkpoint(path, ModelState.create(3, 2, d=2, D=8, seed=1), seed=1,
+                    config_hash=bytes(32))
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def valid_blobs(tmp_path_factory):
+    return _valid_cache(tmp_path_factory), _valid_checkpoint(tmp_path_factory)
+
+
+@FUZZ
+@given(data=st.data())
+def test_load_cache(valid_blobs, tmp_path, data):
+    blob = data.draw(_variants(valid_blobs[0],
+                               CACHE_MAGIC + struct.pack("<I", CACHE_VERSION)))
+    _fails_cleanly(load_cache, tmp_path / "fuzz.hdkg", blob)
+
+
+@FUZZ
+@given(data=st.data())
+def test_load_checkpoint(valid_blobs, tmp_path, data):
+    blob = data.draw(_variants(valid_blobs[1],
+                               checkpoint.MAGIC + struct.pack("<I", checkpoint.VERSION)))
+    _fails_cleanly(load_checkpoint, tmp_path / "fuzz.hdck", blob)
+
+
+VALID_CONFIG = b"d = 8\nD = 32\nmode = hardware\nlr = 0.5  # comment\nsweep_capacities = 4,8\n"
+
+
+@FUZZ
+@given(data=st.data())
+def test_config_file(tmp_path, data):
+    blob = data.draw(_variants(VALID_CONFIG, b"d = "))
+    _fails_cleanly(lambda path: build_config(config_path=path), tmp_path / "fuzz.cfg", blob)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import graph_from_triples
+from conftest import dict_tail_index, graph_from_triples
 from hdkg.errors import ShapeError
 from hdkg.kg import tail_index
 from hdkg.model import ModelState
@@ -59,15 +59,39 @@ class TestRankQueries:
 
     def test_filtering_masks_other_known_tails(self):
         view = hand_view()
-        index = {(0, 0): np.array([1, 2])}
+        index = tail_index(np.array([[0, 0, 1], [0, 0, 2]]))
         ranks = rank_queries(view, np.array([[0, 0, 1]]), index, filtered=True)
         assert ranks.tolist() == [1]
 
     def test_filtering_never_masks_the_target(self):
         view = hand_view()
-        index = {(0, 0): np.array([1])}
+        index = tail_index(np.array([[0, 0, 1]]))
         ranks = rank_queries(view, np.array([[0, 0, 1]]), index, filtered=True)
         assert ranks.tolist() == [2]
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 128])
+    def test_vectorised_filter_matches_per_row_masking(self, batch_size):
+        # Integer-valued memory rows make exact score ties common.
+        gen = np.random.default_rng(3)
+        V, R = 25, 3
+        view = ScoringView(M_v=gen.integers(0, 3, (V, 4)).astype(np.float64),
+                           H_r=gen.integers(0, 2, (R, 4)).astype(np.float64), bias=0.5)
+        splits = [np.stack([gen.integers(0, 8, n), gen.integers(0, R, n),
+                            gen.integers(0, V, n)], axis=1) for n in (120, 15, 15)]
+        # Random rows add queries that are not indexed, some with no known tail.
+        random_rows = np.stack([gen.integers(0, 10, 20), gen.integers(0, R, 20),
+                                gen.integers(0, V, 20)], axis=1)
+        queries = np.concatenate([splits[2], splits[0][:40], random_rows])
+        oracle = dict_tail_index(*splits)
+        want = []
+        for h, r, t in queries.tolist():
+            scores = raw_scores(view, np.array([h]), np.array([r]))[0]
+            known = oracle.get((h, r), np.empty(0, dtype=np.int64))
+            scores[known[known != t]] = -np.inf
+            want.append(1 + int((scores > scores[t]).sum())
+                        + int((scores == scores[t]).sum()) - 1)
+        got = rank_queries(view, queries, tail_index(*splits), batch_size=batch_size)
+        assert got.tolist() == want
 
     def test_filtered_needs_index(self):
         with pytest.raises(ValueError, match="filter index"):
