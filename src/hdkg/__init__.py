@@ -21,7 +21,7 @@ from .kg import (KnowledgeGraph, add_reciprocal, dataset_stats, load_cache,
 from .model import (Gradients, ModelState, OptimizerConfig, Optimizer,
                     ScoreSignals, TrainConfig, Trainer, backward,
                     chunked_backward, loss_and_delta, memorize_edge_list,
-                    memorize_matrix_form, score_batch)
+                    score_batch)
 from .ranking import (ScoringView, metrics, rank_queries, reconstruct_neighbors)
 from .robustness import (FixedPointSpec, dimension_entropy, drop_dims,
                          quantize_fixed, quantized_view)
@@ -39,8 +39,7 @@ __all__ = [
     "backward", "bind", "build_config", "bundle", "chunked_backward",
     "config_hash", "dataset_stats", "dimension_entropy", "drop_dims", "encode",
     "load_cache", "load_checkpoint", "load_dataset", "loss_and_delta",
-    "memorize_edge_list", "memorize_matrix_form", "metrics", "quantize_fixed",
-    "quantized_view", "rank_queries", "reconstruct_neighbors", "save_cache",
-    "save_checkpoint", "score_batch", "similarity", "stream", "tail_index",
-    "__version__",
+    "memorize_edge_list", "metrics", "quantize_fixed", "quantized_view",
+    "rank_queries", "reconstruct_neighbors", "save_cache", "save_checkpoint",
+    "score_batch", "similarity", "stream", "tail_index", "__version__",
 ]

@@ -9,11 +9,13 @@ Layout (all little-endian), version 1:
     n_relations u64
     seed       u64
     flags      u32   bit 0: hardware backward mode
-                     bit 1: score_sign == "pos"
+                     bit 1: retired (the "bias plus norm" score sign, no
+                            longer supported); never written, rejected on load
                      bit 2: identity activation
                      bit 3: bias frozen
                      bit 4: adaptive optimizer scaling
                      bit 5: float32 compute dtype
+                     bits 6-31: unassigned; rejected on load
     optimizer  u32   0 = sgd
     lr, momentum, label_smoothing   f64 each
     prng_tag   16s   zero-padded ascii, e.g. "np-pcg64"
@@ -47,11 +49,13 @@ VERSION = 1
 _HEADER = "<4sIIIQQQIIddd16s32sd"
 
 FLAG_HARDWARE = 1 << 0
-FLAG_SCORE_POS = 1 << 1
+FLAG_RETIRED_SIGN = 1 << 1
 FLAG_IDENTITY = 1 << 2
 FLAG_BIAS_FROZEN = 1 << 3
 FLAG_ADAPTIVE = 1 << 4
 FLAG_FLOAT32 = 1 << 5
+KNOWN_FLAGS = (FLAG_HARDWARE | FLAG_IDENTITY | FLAG_BIAS_FROZEN | FLAG_ADAPTIVE
+               | FLAG_FLOAT32)
 
 # The base matrix is regenerated from the seed on load, so a header could ask
 # for any amount of memory; past this many d x D cells it is taken as corrupt.
@@ -71,8 +75,6 @@ def save_checkpoint(path, state: ModelState, seed: int, config_hash: bytes,
     flags = 0
     if mode == "hardware":
         flags |= FLAG_HARDWARE
-    if state.score_sign == "pos":
-        flags |= FLAG_SCORE_POS
     if state.activation == "identity":
         flags |= FLAG_IDENTITY
     if not bias_trainable:
@@ -112,6 +114,14 @@ def load_checkpoint(path) -> tuple[ModelState, dict]:
         if version != VERSION:
             raise CheckpointFormatError(
                 f"{path}: unsupported version {version} (expected {VERSION})")
+        if flags & FLAG_RETIRED_SIGN:
+            raise CheckpointFormatError(
+                f"{path}: flag bit 1 marks a model scored as bias plus distance, "
+                "a convention this version no longer supports")
+        unknown = [b for b in range(32) if flags & ~KNOWN_FLAGS & (1 << b)]
+        if unknown:
+            raise CheckpointFormatError(
+                f"{path}: unknown flag bits {', '.join(map(str, unknown))}")
         if opt not in OPTIMIZER_NAMES:
             raise CheckpointFormatError(f"{path}: unknown optimizer code {opt}")
         if not 0 < d * D <= MAX_BASE_CELLS:
@@ -137,8 +147,7 @@ def load_checkpoint(path) -> tuple[ModelState, dict]:
     e_r = np.frombuffer(er_bytes, dtype="<f8").reshape(n_rel, d).astype(dtype)
     state = ModelState(
         base=BaseMatrix.create(d, D, seed), e_v=e_v, e_r=e_r, bias=bias,
-        activation="identity" if flags & FLAG_IDENTITY else "tanh",
-        score_sign="pos" if flags & FLAG_SCORE_POS else "neg")
+        activation="identity" if flags & FLAG_IDENTITY else "tanh")
     meta = {
         "seed": seed,
         "mode": "hardware" if flags & FLAG_HARDWARE else "reference",

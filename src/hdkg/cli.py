@@ -105,8 +105,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     kg = _load_graph(cfg)
     state = ModelState.create(kg.n_entities, kg.n_relations, cfg.d, cfg.D,
-                              cfg.seed, dtype=_dtype(cfg),
-                              activation=cfg.activation, score_sign=cfg.score_sign)
+                              cfg.seed, dtype=_dtype(cfg), activation=cfg.activation)
     train_cfg = TrainConfig(
         batch_size=cfg.batch_size, chunk_T=cfg.chunk_T, mode=cfg.mode,
         label_smoothing=cfg.label_smoothing,

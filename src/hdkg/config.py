@@ -10,6 +10,7 @@ to the exact configuration that produced them.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -34,6 +35,8 @@ class RunConfig:
     batch_size: int = 128
     chunk_T: int = 32
     mode: str = "reference"
+    # Only "neg" is valid.  The field stays because the benchmark harness
+    # reads it, and because dropping it would change every config hash.
     score_sign: str = "neg"
     activation: str = "tanh"
     lr: float = 0.05
@@ -157,11 +160,11 @@ def validate(cfg: RunConfig) -> None:
     require(cfg.chunk_T > 0, "chunk_T must be positive")
     require(cfg.epochs >= 0, "epochs must be non-negative")
     require(cfg.mode in ("reference", "hardware"), "mode must be reference or hardware")
-    require(cfg.score_sign in ("neg", "pos"), "score_sign must be neg or pos")
+    require(cfg.score_sign == "neg", "score_sign must be neg")
     require(cfg.activation in ("tanh", "identity"), "activation must be tanh or identity")
     require(cfg.dtype in ("float64", "float32"), "dtype must be float64 or float32")
     require(0.0 <= cfg.label_smoothing < 1.0, "label_smoothing must be in [0, 1)")
-    require(cfg.lr > 0.0, "lr must be positive")
+    require(math.isfinite(cfg.lr) and cfg.lr > 0.0, "lr must be positive and finite")
     require(0.0 <= cfg.momentum < 1.0, "momentum must be in [0, 1)")
     require(cfg.split in ("train", "valid", "test"), "split must be train, valid, or test")
     require(cfg.metric in ("cosine", "neg_l1", "sign_hamming"), "unknown metric")

@@ -244,17 +244,6 @@ class KnowledgeGraph:
         """Train out-degree per vertex, duplicates counted."""
         return np.diff(self.nbr_indptr)
 
-    def relation_csr(self, r: int) -> sp.csr_matrix:
-        """Adjacency of relation r as a sparse matrix A with A[i, j] = #(i, r, j) in train.
-
-        Built on every call from the train split alone, so it serves as an
-        independent route to the pair indexes.
-        """
-        mask = self.train[:, 1] == r
-        data = np.ones(int(mask.sum()), dtype=np.float64)
-        return sp.csr_matrix((data, (self.train[mask, 0], self.train[mask, 2])),
-                             shape=(self.n_entities, self.n_entities))
-
 
 def _parse_split(path: Path, entity_index: dict, relation_index: dict,
                  entities: list, relations: list) -> np.ndarray:

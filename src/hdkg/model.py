@@ -11,8 +11,8 @@ and batch scores through a translational residual
     raw[j, c] = bias - | M[subject_j] + H_r[rel_j] - M[c] |_1
     P = sigmoid(raw)
 
-so nearer candidates score higher.  The opposite sign convention (bias plus
-the norm) is kept behind ``score_sign="pos"`` for comparison only.
+so nearer candidates score higher.  Training and evaluation score through
+the same function, :func:`query_scores`.
 
 Every walk of the graph goes through one "aggregate, then bind" kernel,
 :func:`aggregate_bind`.  All tails j of a (head i, relation r) pair share the
@@ -21,8 +21,8 @@ the bind then runs once per pair, not once per edge.  Memorization runs it
 over the (head, relation) pairs; the reference backward runs it over the
 (tail, relation) pairs to carry the memory gradient back to H_v and H_r.
 Pairs go PAIR_CHUNK at a time, so no walk holds a temporary larger than
-PAIR_CHUNK x D.  The per-relation matrix form stays only as an independent
-check of the kernel.
+PAIR_CHUNK x D.  The tests keep the per-relation matrix form as an
+independent check of the kernel.
 
 Training updates only e_v, e_r and the bias.  Two backward modes exist:
 
@@ -37,21 +37,22 @@ Training updates only e_v, e_r and the bias.  Two backward modes exist:
              the memorization path.
 
 Both modes start from the same sign contraction: with delta = d loss / d raw,
+and d raw / d Q = -sign(Q - M[c]) since raw falls with the distance,
 
-    gM[c] = -s * sum_j delta[j, c] sign(Q[j] - M[c])
-    gQ[j] =  s * sum_c delta[j, c] sign(Q[j] - M[c])
+    gM[c] =  sum_j delta[j, c] sign(Q[j] - M[c])
+    gQ[j] = -sum_c delta[j, c] sign(Q[j] - M[c])
 
-(s = -1 for score_sign "neg"), a B x V x D sum.  Label smoothing makes most
-of delta one value per row: wherever P is negligible, delta[j, c] is the
-floor -eps/V/(B V) bit for bit.  So delta is split into a row constant, the
-row median, plus a residual on the cells that differ from it.  The constant
-part needs only per-dimension counts of how many M[c, k] lie below and
-above each Q[j, k] (sorted columns and searchsorted, ties excluded as
-sign(0) = 0 excludes them), O((V + B) D log V) with no B x V x D pass.  The
-residual is contracted over its own cells.  No cell is dropped and no
-tolerance decides which cells are residual, so the split differs from the
-dense sum only in summation order.  When more than SPLIT_MAX_ACTIVE of the cells are residual
-(as when every score carries gradient), the dense tiles run instead:
+a B x V x D sum.  Label smoothing makes most of delta one value per row:
+wherever P is negligible, delta[j, c] is the floor -eps/V/(B V) bit for bit.
+So delta is split into a row constant, the row median, plus a residual on
+the cells that differ from it.  The constant part needs only per-dimension
+counts of how many M[c, k] lie below and above each Q[j, k] (sorted columns
+and searchsorted, ties excluded as sign(0) = 0 excludes them),
+O((V + B) D log V) with no B x V x D pass.  The residual is contracted over
+its own cells.  No cell is dropped and no tolerance decides which cells are
+residual, so the split differs from the dense sum only in summation order.
+When more than SPLIT_MAX_ACTIVE of the cells are residual (as when every
+score carries gradient), the dense tiles run instead:
 candidate columns in chunks of T, SIGN_TILE at a time.  Results are
 independent of T up to float summation order (identical when each vertex is
 touched by one chunk, which holds for the candidate-side accumulations).
@@ -79,7 +80,6 @@ COUNT_BLOCK = 32       # dimensions counted at once in the row-constant part
 PAIR_CHUNK = 2048      # (vertex, relation) pairs aggregated at once in graph walks
 
 BACKWARD_MODES = ("reference", "hardware")
-SCORE_SIGNS = ("neg", "pos")
 
 
 @dataclass
@@ -91,7 +91,6 @@ class ModelState:
     e_r: np.ndarray
     bias: float = 0.0
     activation: str = "tanh"
-    score_sign: str = "neg"
 
     H_v: np.ndarray | None = field(default=None, repr=False)
     H_r: np.ndarray | None = field(default=None, repr=False)
@@ -104,16 +103,17 @@ class ModelState:
     def create(cls, n_entities: int, n_relations: int, d: int, D: int, seed: int,
                dtype=np.float64, activation: str = "tanh",
                score_sign: str = "neg") -> "ModelState":
+        # ``score_sign`` stays only because the benchmark harness passes
+        # ``RunConfig.score_sign`` here; "neg" is the one convention.
         if n_entities <= 0 or n_relations <= 0:
             raise ValueError("entity and relation counts must be positive")
-        if score_sign not in SCORE_SIGNS:
-            raise ValueError(f"score_sign must be one of {SCORE_SIGNS}")
+        if score_sign != "neg":
+            raise ValueError(f"score_sign must be 'neg', got {score_sign!r}")
         base = BaseMatrix.create(d, D, seed)
         gen = rng.stream(seed, "init")
         e_v = gen.uniform(-INIT_SCALE, INIT_SCALE, size=(n_entities, d)).astype(dtype)
         e_r = gen.uniform(-INIT_SCALE, INIT_SCALE, size=(n_relations, d)).astype(dtype)
-        return cls(base=base, e_v=e_v, e_r=e_r, activation=activation,
-                   score_sign=score_sign)
+        return cls(base=base, e_v=e_v, e_r=e_r, activation=activation)
 
     @property
     def dtype(self):
@@ -125,21 +125,12 @@ class ModelState:
 
     def refresh(self, kg: KnowledgeGraph):
         """Re-encode hypervectors and re-memorize the graph after updates."""
-        basemat = self.base.data.astype(self.dtype, copy=False)
-        self.H_v = _activate(self.e_v @ basemat, self.activation)
-        self.H_r = _activate(self.e_r @ basemat, self.activation)
+        self.H_v = encode(self.e_v, self.base, self.activation)
+        self.H_r = encode(self.e_r, self.base, self.activation)
         self.hv_fresh = True
         self.M_v, self.G = memorize_edge_list(kg, self.H_v, self.H_r)
         self.mv_fresh = True
         return self
-
-
-def _activate(projected, activation):
-    if activation == "tanh":
-        return np.tanh(projected)
-    if activation == "identity":
-        return projected
-    raise ValueError(f"unknown activation {activation!r}")
 
 
 def memorize_edge_list(kg: KnowledgeGraph, H_v: np.ndarray,
@@ -190,26 +181,6 @@ def aggregate_bind(pairs: PairIndex, X: np.ndarray, H_r: np.ndarray, out: np.nda
         out[v0:v1] += by_vertex @ Y
 
 
-def memorize_matrix_form(kg: KnowledgeGraph, H_v: np.ndarray,
-                         H_r: np.ndarray) -> np.ndarray:
-    """Same memory as :func:`memorize_edge_list` via per-relation sparse products.
-
-    M = sum over r of (A_r @ H_v) * H_r[r], with A_r the relation adjacency
-    rebuilt from the train split on every call.  Kept as an independent
-    route; agreement with the pair kernel is a correctness check, not an
-    implementation detail.
-    """
-    _check_hv(kg, H_v, H_r)
-    n, D = kg.n_entities, H_v.shape[1]
-    M = np.zeros((n, D), dtype=H_v.dtype)
-    for r in range(kg.n_relations):
-        A = kg.relation_csr(r)
-        if A.nnz == 0:
-            continue
-        M += (A @ H_v) * H_r[r]
-    return M
-
-
 def _check_hv(kg, H_v, H_r):
     if H_v.ndim != 2 or H_v.shape[0] != kg.n_entities:
         raise ShapeError(f"H_v must be ({kg.n_entities}, D), got {H_v.shape}")
@@ -236,6 +207,18 @@ class ScoreSignals:
     S: np.ndarray | None = None
 
 
+def query_scores(view, subjects, rels) -> tuple[np.ndarray, np.ndarray]:
+    """Queries Q = M_v[s] + H_r[r] and raw scores bias - |Q - M_v[c]|_1.
+
+    ``view`` is anything with ``M_v``, ``H_r`` and ``bias``: a refreshed
+    :class:`ModelState` in training, a :class:`hdkg.ranking.ScoringView` in
+    evaluation.  The scores come back in M_v's dtype.
+    """
+    Q = view.M_v[subjects] + view.H_r[rels]
+    norms = cdist(Q, view.M_v, metric="cityblock").astype(view.M_v.dtype, copy=False)
+    return Q, view.bias - norms
+
+
 def score_batch(state: ModelState, subjects, rels,
                 cache_signs: bool = False) -> ScoreSignals:
     """Score every vertex as tail candidate for each (subject, relation) query."""
@@ -250,12 +233,7 @@ def score_batch(state: ModelState, subjects, rels,
     if len(rels) and (rels.min() < 0 or rels.max() >= len(state.H_r)):
         raise ValueError("relation id out of range")
 
-    Q = state.M_v[subjects] + state.H_r[rels]
-    norms = cdist(Q, state.M_v, metric="cityblock").astype(state.dtype, copy=False)
-    if state.score_sign == "neg":
-        raw = state.bias - norms
-    else:
-        raw = state.bias + norms
+    Q, raw = query_scores(state, subjects, rels)
     P = expit(raw)
     S = None
     if cache_signs:
@@ -336,8 +314,7 @@ def chunked_backward(state: ModelState, kg: KnowledgeGraph, signals: ScoreSignal
     if V != len(state.M_v) or B != len(signals.subjects):
         raise ShapeError(f"delta shape {delta.shape} disagrees with batch/candidates")
 
-    query_sign = -1.0 if state.score_sign == "neg" else 1.0
-    gM, gQ = _sign_contraction(signals, state.M_v, delta, T, query_sign, state.dtype)
+    gM, gQ = _sign_contraction(signals, state.M_v, delta, T, state.dtype)
 
     internals = None
     if return_internals:
@@ -375,9 +352,9 @@ def chunked_backward(state: ModelState, kg: KnowledgeGraph, signals: ScoreSignal
 
 
 def _sign_contraction(signals: ScoreSignals, M: np.ndarray, delta: np.ndarray,
-                      T: int, query_sign: float, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """gM[c] = -query_sign * sum_j delta[j, c] sign(Q[j] - M[c]) and
-    gQ[j] = query_sign * sum_c delta[j, c] sign(Q[j] - M[c]).
+                      T: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """gM[c] = sum_j delta[j, c] sign(Q[j] - M[c]) and
+    gQ[j] = -sum_c delta[j, c] sign(Q[j] - M[c]).
 
     Takes the split route when at most SPLIT_MAX_ACTIVE of the cells differ
     from their row's median, the dense tiles otherwise.  The cells are only
@@ -397,11 +374,11 @@ def _sign_contraction(signals: ScoreSignals, M: np.ndarray, delta: np.ndarray,
                          dtype=delta.dtype)
     n_active = sum(np.count_nonzero(row != c) for row, c in zip(delta, row_const))
     if n_active > SPLIT_MAX_ACTIVE * delta.size:
-        return _dense_contraction(signals, M, delta, T, query_sign, dtype)
-    return _split_contraction(signals, M, delta, row_const, query_sign, dtype)
+        return _dense_contraction(signals, M, delta, T, dtype)
+    return _split_contraction(signals, M, delta, row_const, dtype)
 
 
-def _dense_contraction(signals, M, delta, T, query_sign, dtype):
+def _dense_contraction(signals, M, delta, T, dtype):
     """Every cell's sign vector, SIGN_TILE candidate columns at a time."""
     B, V = delta.shape
     gM = np.zeros((V, M.shape[1]), dtype=dtype)
@@ -414,15 +391,15 @@ def _dense_contraction(signals, M, delta, T, query_sign, dtype):
                 sgn = signals.S[:, t0:t1, :].astype(dtype)
             else:
                 sgn = np.sign(signals.Q[:, None, :] - M[None, t0:t1, :])
-            # d raw / d Q = query_sign * sgn;  d raw / d M[c] = -query_sign * sgn
-            gM[t0:t1] -= query_sign * np.einsum("jc,jck->ck", delta[:, t0:t1], sgn)
-            gQ += query_sign * np.einsum("jc,jck->jk", delta[:, t0:t1], sgn)
+            # d raw / d Q = -sgn;  d raw / d M[c] = sgn
+            gM[t0:t1] += np.einsum("jc,jck->ck", delta[:, t0:t1], sgn)
+            gQ -= np.einsum("jc,jck->jk", delta[:, t0:t1], sgn)
     return gM, gQ
 
 
-def _split_contraction(signals, M, delta, row_const, query_sign, dtype):
+def _split_contraction(signals, M, delta, row_const, dtype):
     """The row-constant part from per-dimension counts, the residual cell by cell."""
-    gM, gQ = _row_constant_part(signals.Q, M, row_const, query_sign, dtype)
+    gM, gQ = _row_constant_part(signals.Q, M, row_const, dtype)
     B = delta.shape[0]
     rows, cols = np.nonzero(delta != row_const[:, None])
     resid = delta[rows, cols] - row_const[rows]
@@ -435,14 +412,14 @@ def _split_contraction(signals, M, delta, row_const, query_sign, dtype):
         else:
             sgn = np.sign(signals.Q[j] - M[c])
         cells = np.arange(len(j))
-        gQ += query_sign * (sp.csr_matrix((r, (j, cells)), shape=(B, len(j))) @ sgn)
+        gQ -= sp.csr_matrix((r, (j, cells)), shape=(B, len(j))) @ sgn
         touched, c_at = np.unique(c, return_inverse=True)
         by_col = sp.csr_matrix((r, (c_at, cells)), shape=(len(touched), len(j)))
-        gM[touched] -= query_sign * (by_col @ sgn)
+        gM[touched] += by_col @ sgn
     return gM, gQ
 
 
-def _row_constant_part(Q, M, row_const, query_sign, dtype):
+def _row_constant_part(Q, M, row_const, dtype):
     """Contraction of delta[j, c] = row_const[j] over all cells, from counts.
 
     Per dimension k, with M's column sorted and lo[j] = #{c: M[c,k] < Q[j,k]},
@@ -471,7 +448,7 @@ def _row_constant_part(Q, M, row_const, query_sign, dtype):
         for i, k in enumerate(range(k0, k1)):
             lo[i] = np.searchsorted(M_sorted[i], Q[:, k], side="left")
             hi[i] = np.searchsorted(M_sorted[i], Q[:, k], side="right")
-        gQ[:, k0:k1] = (query_sign * row_const * (lo + hi - V)).T
+        gQ[:, k0:k1] = (-row_const * (lo + hi - V)).T
         # One bincount for the whole block: row i's bins start at i * (V + 1).
         offsets = (V + 1) * np.arange(k1 - k0)[:, None]
         weights = np.broadcast_to(row_const, lo.shape).ravel()
@@ -481,7 +458,7 @@ def _row_constant_part(Q, M, row_const, query_sign, dtype):
         above = total - np.cumsum(at_lo[:, :V], axis=1)
         below = np.cumsum(at_hi[:, :V], axis=1)
         g_t = np.empty_like(M_t)
-        np.put_along_axis(g_t, order, -query_sign * (above - below), axis=1)
+        np.put_along_axis(g_t, order, above - below, axis=1)
         gM[:, k0:k1] = g_t.T
     return gM, gQ
 

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .atomic import atomic_write
 from .errors import ShapeError
 from .kg import PairIndex
-from .model import ModelState
+from .model import ModelState, query_scores
 
 HITS_LEVELS = (1, 3, 10)
 
@@ -36,21 +35,20 @@ class ScoringView:
     M_v: np.ndarray
     H_r: np.ndarray
     bias: float
-    score_sign: str = "neg"
 
     @classmethod
     def from_state(cls, state: ModelState) -> "ScoringView":
         if not state.mv_fresh:
             raise ShapeError("state must be refreshed before evaluation")
-        return cls(M_v=state.M_v, H_r=state.H_r, bias=state.bias,
-                   score_sign=state.score_sign)
+        return cls(M_v=state.M_v, H_r=state.H_r, bias=state.bias)
 
 
 def raw_scores(view, subjects, rels) -> np.ndarray:
-    """Raw pre-sigmoid scores of every candidate for each (subject, relation)."""
-    Q = view.M_v[subjects] + view.H_r[rels]
-    norms = cdist(Q, view.M_v, metric="cityblock")
-    return view.bias - norms if view.score_sign == "neg" else view.bias + norms
+    """Raw pre-sigmoid scores of every candidate for each (subject, relation).
+
+    The same scores training computes: :func:`hdkg.model.query_scores`.
+    """
+    return query_scores(view, subjects, rels)[1]
 
 
 def rank_queries(view, queries: np.ndarray, filter_index: PairIndex | None = None,

@@ -21,14 +21,15 @@ of a fixed-bin histogram per column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng
 from .errors import NumericError
+from .hdc import encode
 from .kg import KnowledgeGraph
-from .model import ModelState, memorize_edge_list, _activate
+from .model import ModelState, memorize_edge_list
 from .ranking import ScoringView
 
 ENTROPY_BINS = 32
@@ -109,7 +110,7 @@ def drop_dims(view: ScoringView, fraction: float, strategy: str = "entropy",
         dropped = gen.choice(D, size=n_drop, replace=False)
     keep = np.setdiff1d(np.arange(D), dropped)
     restricted = ScoringView(M_v=view.M_v[:, keep], H_r=view.H_r[:, keep],
-                             bias=view.bias, score_sign=view.score_sign)
+                             bias=view.bias)
     return restricted, keep
 
 
@@ -117,9 +118,8 @@ def quantized_view(state: ModelState, kg: KnowledgeGraph,
                    spec: FixedPointSpec) -> ScoringView:
     """Rebuild the scoring tensors with every stored value quantized."""
     q = lambda a: quantize_fixed(a, spec)
-    base_q = q(state.base.data)
-    H_v = q(_activate(q(state.e_v.astype(np.float64)) @ base_q, state.activation))
-    H_r = q(_activate(q(state.e_r.astype(np.float64)) @ base_q, state.activation))
+    base_q = replace(state.base, data=q(state.base.data))
+    H_v = q(encode(q(state.e_v), base_q, state.activation))
+    H_r = q(encode(q(state.e_r), base_q, state.activation))
     M_v, _ = memorize_edge_list(kg, H_v, H_r)
-    return ScoringView(M_v=q(M_v), H_r=H_r, bias=float(state.bias),
-                       score_sign=state.score_sign)
+    return ScoringView(M_v=q(M_v), H_r=H_r, bias=float(state.bias))

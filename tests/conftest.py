@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hdkg import rng
 from hdkg.kg import KnowledgeGraph
@@ -64,6 +65,32 @@ def dict_tail_index(*splits) -> dict[tuple[int, int], np.ndarray]:
         for h, r, t in np.asarray(split).reshape(-1, 3).tolist():
             index.setdefault((h, r), set()).add(t)
     return {key: np.asarray(sorted(tails), dtype=np.int64) for key, tails in index.items()}
+
+
+def relation_csr(kg: KnowledgeGraph, r: int) -> sp.csr_matrix:
+    """Adjacency of relation r as a sparse matrix A with A[i, j] = #(i, r, j) in train.
+
+    Built on every call from the train split alone, so it serves as an
+    independent route to the graph's pair indexes.
+    """
+    mask = kg.train[:, 1] == r
+    data = np.ones(int(mask.sum()), dtype=np.float64)
+    return sp.csr_matrix((data, (kg.train[mask, 0], kg.train[mask, 2])),
+                         shape=(kg.n_entities, kg.n_entities))
+
+
+def memorize_matrix_form(kg: KnowledgeGraph, H_v: np.ndarray,
+                         H_r: np.ndarray) -> np.ndarray:
+    """Oracle for :func:`hdkg.model.memorize_edge_list`: per-relation sparse products.
+
+    M = sum over r of (A_r @ H_v) * H_r[r], with A_r from :func:`relation_csr`.
+    """
+    M = np.zeros((kg.n_entities, H_v.shape[1]), dtype=H_v.dtype)
+    for r in range(kg.n_relations):
+        A = relation_csr(kg, r)
+        if A.nnz:
+            M += (A @ H_v) * H_r[r]
+    return M
 
 
 def make_graph(n_entities, n_relations, n_edges, seed=0, skew=0.0,

@@ -19,6 +19,7 @@ from conftest import (
     DATA_ROOT_ENV,
     VERDICTS,
     make_graph,
+    memorize_matrix_form,
     neighbors_from_degrees,
     planted_graph,
     real_dataset_dir,
@@ -38,7 +39,6 @@ from hdkg.model import (
     chunked_backward,
     loss_and_delta,
     memorize_edge_list,
-    memorize_matrix_form,
     score_batch,
 )
 from hdkg.ranking import ScoringView, metrics, rank_queries

@@ -17,6 +17,20 @@ def some_state(seed=9, **kwargs):
 
 
 DIGEST = hashlib.sha256(b"run identity").digest()
+FLAGS_OFFSET = 40   # the u32 flags word follows magic, version, d, D and three u64s
+
+
+def flags_word(path) -> int:
+    return struct.unpack_from("<I", path.read_bytes(), FLAGS_OFFSET)[0]
+
+
+def set_flag_bits(path, *bits) -> None:
+    blob = bytearray(path.read_bytes())
+    word = struct.unpack_from("<I", blob, FLAGS_OFFSET)[0]
+    for bit in bits:
+        word |= 1 << bit
+    struct.pack_into("<I", blob, FLAGS_OFFSET, word)
+    path.write_bytes(bytes(blob))
 
 
 class TestRoundtrip:
@@ -64,14 +78,14 @@ class TestRoundtrip:
 
 class TestFlags:
     def test_training_metadata_roundtrip(self, tmp_path):
-        state = some_state(score_sign="pos", activation="identity")
+        state = some_state(activation="identity")
         path = tmp_path / "model.hdck"
         save_checkpoint(path, state, seed=1, config_hash=DIGEST,
                         mode="hardware", lr=0.5, momentum=0.9,
                         label_smoothing=0.0, bias_trainable=False,
                         adaptive=True)
+        assert flags_word(path) == 0b11101   # bits 0, 2, 3 and 4; never bit 1
         back, meta = load_checkpoint(path)
-        assert back.score_sign == "pos"
         assert back.activation == "identity"
         assert meta["mode"] == "hardware"
         assert meta["lr"] == 0.5
@@ -83,10 +97,27 @@ class TestFlags:
     def test_defaults_roundtrip(self, tmp_path):
         path = tmp_path / "model.hdck"
         save_checkpoint(path, some_state(), seed=1, config_hash=DIGEST)
+        assert flags_word(path) == 0
         back, meta = load_checkpoint(path)
-        assert back.score_sign == "neg" and back.activation == "tanh"
+        assert back.activation == "tanh"
         assert meta["mode"] == "reference"
         assert meta["bias_trainable"] is True and meta["adaptive"] is False
+
+    def test_retired_sign_bit_rejected(self, tmp_path):
+        path = tmp_path / "model.hdck"
+        save_checkpoint(path, some_state(), seed=1, config_hash=DIGEST)
+        set_flag_bits(path, 1)
+        with pytest.raises(CheckpointFormatError, match="flag bit 1 .* no longer supports"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bits, named", [((9,), "bits 9$"), ((6, 31), "bits 6, 31$")])
+    def test_unknown_flag_bits_rejected(self, tmp_path, bits, named):
+        path = tmp_path / "model.hdck"
+        save_checkpoint(path, some_state(), seed=1, config_hash=DIGEST,
+                        mode="hardware")
+        set_flag_bits(path, *bits)
+        with pytest.raises(CheckpointFormatError, match=f"unknown flag {named}"):
+            load_checkpoint(path)
 
     def test_float32_parameters(self, tmp_path):
         state = some_state(dtype=np.float32)

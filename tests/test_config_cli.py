@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from test_checkpoint import set_flag_bits
 from hdkg.cli import main
 from hdkg.config import (
     HASH_EXCLUDED,
@@ -63,6 +64,16 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="epochs"):
             build_config(overrides={"epochs": "three"})
 
+    @pytest.mark.parametrize("lr", ["inf", "-inf", "nan"])
+    def test_non_finite_lr(self, lr):
+        with pytest.raises(ConfigError, match="lr must be positive and finite"):
+            build_config(overrides={"lr": lr})
+
+    def test_only_the_neg_score_sign(self):
+        assert build_config(overrides={"score_sign": "neg"}).score_sign == "neg"
+        with pytest.raises(ConfigError, match="score_sign must be neg"):
+            build_config(overrides={"score_sign": "pos"})
+
     def test_none_overrides_are_skipped(self):
         cfg = build_config(overrides={"d": None, "D": "64"})
         assert cfg.d == RunConfig().d and cfg.D == 64
@@ -109,6 +120,8 @@ class TestValidate:
         ("sweep_policies", "lru,mru", "bad sweep policy"),
         ("drop_strategy", "low", "drop strategy"),
         ("lr", 0.0, "lr must be positive"),
+        ("lr", float("inf"), "lr must be positive and finite"),
+        ("score_sign", "pos", "score_sign must be neg"),
         ("dtype", "float16", "dtype"),
     ])
     def test_rejections(self, field, value, message):
@@ -196,6 +209,12 @@ def trained_dir(dataset_dir, tmp_path):
 
 
 class TestCliTrain:
+    def test_infinite_lr_is_exit_2(self, dataset_dir, tmp_path, capsys):
+        assert run_cli("train", "--dataset", str(dataset_dir),
+                       "--out-dir", str(tmp_path), "--lr", "inf") == 2
+        assert "lr must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "model.hdck").exists()
+
     def test_artifacts(self, trained_dir):
         assert (trained_dir / "model.hdck").exists()
         lines = (trained_dir / "train_metrics.jsonl").read_text().splitlines()
@@ -260,6 +279,18 @@ class TestCliEval:
         assert run_cli("eval", "--dataset", str(dataset_dir),
                        "--checkpoint", str(bad), "--out-dir", str(tmp_path)) == 3
         assert "truncated parameter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bit, message", [(1, "flag bit 1"), (9, "unknown flag bits 9")])
+    def test_flag_bits_it_cannot_honour_are_exit_3(self, dataset_dir, trained_dir,
+                                                   tmp_path, capsys, bit, message):
+        bad = tmp_path / "flagged.hdck"
+        bad.write_bytes((trained_dir / "model.hdck").read_bytes())
+        set_flag_bits(bad, bit)
+        assert run_cli("eval", "--dataset", str(dataset_dir),
+                       "--checkpoint", str(bad), "--out-dir", str(tmp_path),
+                       "--d", "4", "--D", "16") == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "eval_metrics.json").exists()
 
     def test_missing_checkpoint_file_is_exit_3(self, dataset_dir, tmp_path,
                                                capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dict_tail_index, graph_from_triples, make_graph
+from conftest import dict_tail_index, graph_from_triples, make_graph, relation_csr
 from hdkg.errors import DatasetFormatError, TripleParseError
 from hdkg.kg import (
     KnowledgeGraph,
@@ -117,9 +117,9 @@ class TestAdjacency:
     def test_relation_csr_counts_duplicates(self):
         kg = graph_from_triples(
             [(0, 0, 1), (0, 0, 1), (1, 0, 2), (0, 1, 2)], 3, 2)
-        A0 = kg.relation_csr(0).toarray()
+        A0 = relation_csr(kg, 0).toarray()
         assert A0[0, 1] == 2.0 and A0[1, 2] == 1.0 and A0.sum() == 3.0
-        A1 = kg.relation_csr(1).toarray()
+        A1 = relation_csr(kg, 1).toarray()
         assert A1[0, 2] == 1.0 and A1.sum() == 1.0
 
     def test_adjacency_is_built_on_first_use(self):

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dict_tail_index, graph_from_triples, make_graph
+from conftest import (dict_tail_index, graph_from_triples, make_graph,
+                      memorize_matrix_form)
 from hdkg import model
 from hdkg.errors import ShapeError, StalenessError, NumericError
-from hdkg.hdc import BaseMatrix
+from hdkg.hdc import BaseMatrix, encode
 from hdkg.kg import tail_index
 from hdkg.model import (
     BACKWARD_MODES,
-    SCORE_SIGNS,
     Gradients,
     ModelState,
     Optimizer,
@@ -24,7 +24,6 @@ from hdkg.model import (
     chunked_backward,
     loss_and_delta,
     memorize_edge_list,
-    memorize_matrix_form,
     score_batch,
 )
 
@@ -67,7 +66,14 @@ class TestModelState:
         basemat = state.base.data
         np.testing.assert_allclose(state.H_v, np.tanh(state.e_v @ basemat))
         np.testing.assert_allclose(state.H_r, np.tanh(state.e_r @ basemat))
+        np.testing.assert_array_equal(state.H_v, encode(state.e_v, state.base))
         assert state.hv_fresh and state.mv_fresh
+
+    def test_create_accepts_only_the_neg_sign(self):
+        state = ModelState.create(3, 2, d=2, D=4, seed=7, score_sign="neg")
+        assert not hasattr(state, "score_sign")
+        with pytest.raises(ValueError, match="score_sign"):
+            ModelState.create(3, 2, d=2, D=4, seed=7, score_sign="pos")
 
     def test_mark_stale(self):
         state = fresh_state(tiny_graph())
@@ -187,14 +193,6 @@ class TestScoreBatch:
         assert sig.raw[0, 2] == pytest.approx(expected, rel=1e-12)
         np.testing.assert_allclose(sig.P, 1.0 / (1.0 + np.exp(-sig.raw)), atol=1e-12)
 
-    def test_pos_sign_adds_distance(self):
-        kg = tiny_graph()
-        state = fresh_state(kg, score_sign="pos")
-        sig = score_batch(state, [0], [0])
-        Q = state.M_v[0] + state.H_r[0]
-        expected = np.abs(Q - state.M_v[1]).sum()
-        assert sig.raw[0, 1] == pytest.approx(expected, rel=1e-12)
-
     def test_stale_state_rejected(self):
         kg = tiny_graph()
         state = fresh_state(kg)
@@ -303,8 +301,7 @@ def numeric_grads(kg, state, subjects, rels, targets, ls=0.1, h=1e-5):
     """Central finite differences through the full refresh-score-loss pipeline."""
     def loss_at(e_v, e_r, bias):
         probe = ModelState(base=state.base, e_v=e_v, e_r=e_r, bias=bias,
-                           activation=state.activation,
-                           score_sign=state.score_sign)
+                           activation=state.activation)
         probe.refresh(kg)
         sig = score_batch(probe, subjects, rels)
         loss, _ = loss_and_delta(sig, targets, kg.n_entities, label_smoothing=ls)
@@ -354,13 +351,6 @@ class TestBackward:
         assert max_rel_err(got.e_v, want.e_v) < 1e-5
         assert max_rel_err(got.e_r, want.e_r) < 1e-5
         assert abs(got.bias - want.bias) / max(abs(want.bias), 1e-8) < 1e-6
-
-    def test_pos_sign_matches_finite_differences(self):
-        state = fresh_state(self.kg, d=3, D=8, seed=5, score_sign="pos")
-        got = analytic_grads(self.kg, state, self.subjects, self.rels, self.targets)
-        want = numeric_grads(self.kg, state, self.subjects, self.rels, self.targets)
-        assert max_rel_err(got.e_v, want.e_v) < 1e-5
-        assert max_rel_err(got.e_r, want.e_r) < 1e-5
 
     def test_chunk_width_does_not_change_gradients(self):
         full = analytic_grads(self.kg, self.state, self.subjects, self.rels,
@@ -426,7 +416,7 @@ def record_routes(monkeypatch):
     return ran
 
 
-def split_case(regime, score_sign):
+def split_case(regime):
     """A batch whose delta has the named shape.
 
     floor    every score underflows, so each row's off-positive cells sit at
@@ -441,19 +431,17 @@ def split_case(regime, score_sign):
     index = tail_index(kg.train)
     subjects, rels = kg.train[:8, 0].copy(), kg.train[:8, 1].copy()
     D = 128 if regime == "partial" else 16
-    state = fresh_state(kg, d=6, D=D, seed=4, score_sign=score_sign)
-    far = -1e3 if score_sign == "neg" else -1e4
+    state = fresh_state(kg, d=6, D=D, seed=4)
     if regime == "floor":
-        state.bias = far
+        state.bias = -1e3
     elif regime == "partial":
         state.e_v *= 30
         state.e_r *= 30
         state.refresh(kg)
         norms = np.abs(score_batch(state, subjects, rels).raw)
-        state.bias = (np.quantile(norms, 0.01) if score_sign == "neg"
-                      else -np.quantile(norms, 0.99))
+        state.bias = np.quantile(norms, 0.01)
     elif regime == "ties":
-        state.bias = far
+        state.bias = -1e3
         state.H_v = np.round(state.H_v * 8) / 8
         state.H_r = np.round(state.H_r * 8) / 8
         state.H_r[0] = 0.0
@@ -496,12 +484,14 @@ class TestSplitContraction:
             assert np.abs(a - b).max() <= self.RTOL * np.abs(b).max(), name
         assert g.bias == w.bias
 
-    @pytest.mark.parametrize("score_sign", SCORE_SIGNS)
+    # The ids name the score sign, bias minus distance ("neg").
     @pytest.mark.parametrize("regime,route", [
         ("floor", "_split_contraction"), ("partial", "_split_contraction"),
-        ("ties", "_split_contraction"), ("dense", "_dense_contraction")])
-    def test_matches_dense_tiles(self, monkeypatch, regime, route, score_sign):
-        kg, state, subjects, rels, targets = split_case(regime, score_sign)
+        ("ties", "_split_contraction"), ("dense", "_dense_contraction")],
+        ids=["floor-_split_contraction-neg", "partial-_split_contraction-neg",
+             "ties-_split_contraction-neg", "dense-_dense_contraction-neg"])
+    def test_matches_dense_tiles(self, monkeypatch, regime, route):
+        kg, state, subjects, rels, targets = split_case(regime)
         ran = record_routes(monkeypatch)
         positives = sum(len(t) for t in targets)
         for cache in (False, True):
@@ -520,7 +510,7 @@ class TestSplitContraction:
                     self.assert_close(got, want)
 
     def test_ties_are_present(self):
-        kg, state, subjects, rels, _ = split_case("ties", "neg")
+        kg, state, subjects, rels, _ = split_case("ties")
         sig = score_batch(state, subjects, rels)
         diff = sig.Q[:, None, :] - state.M_v[None, :, :]
         assert (diff == 0).all(axis=2).any()          # whole-vector ties
@@ -528,7 +518,7 @@ class TestSplitContraction:
         np.testing.assert_array_equal(sig.Q[0], sig.Q[1])
 
     def test_cached_signs_are_exact_on_the_split_route(self, monkeypatch):
-        kg, state, subjects, rels, targets = split_case("partial", "neg")
+        kg, state, subjects, rels, targets = split_case("partial")
         ran = record_routes(monkeypatch)
         cached = score_batch(state, subjects, rels, cache_signs=True)
         plain = score_batch(state, subjects, rels)
@@ -544,7 +534,7 @@ class TestSplitContraction:
     def test_no_label_smoothing_falls_back(self, monkeypatch, regime):
         # Without smoothing each negative's delta is its own P / (B V): no
         # two cells of a row share a value unless P underflows.
-        kg, state, subjects, rels, targets = split_case(regime, "neg")
+        kg, state, subjects, rels, targets = split_case(regime)
         ran = record_routes(monkeypatch)
         sig = score_batch(state, subjects, rels)
         _, delta = loss_and_delta(sig, targets, kg.n_entities, label_smoothing=0.0)

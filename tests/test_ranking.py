@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import dict_tail_index, graph_from_triples
+from conftest import dict_tail_index, graph_from_triples, make_graph
 from hdkg.errors import ShapeError
 from hdkg.kg import tail_index
-from hdkg.model import ModelState
+from hdkg.model import ModelState, score_batch
 from hdkg.ranking import (
     METRICS_CSV_FIELDS,
     ScoringView,
@@ -40,11 +40,17 @@ class TestRawScores:
         raw = raw_scores(view, np.array([0]), np.array([0]))
         np.testing.assert_allclose(raw, [[1.5, 2.5, 2.5, 1.5]], atol=1e-15)
 
-    def test_pos_sign_flips(self):
-        view = hand_view()
-        view.score_sign = "pos"
-        raw = raw_scores(view, np.array([0]), np.array([0]))
-        np.testing.assert_allclose(raw, [[1.0, 0.0, 0.0, 1.0]], atol=1e-15)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_training_and_eval_score_alike(self, dtype):
+        kg = make_graph(25, 3, 80, seed=2)
+        state = ModelState.create(25, 3, d=5, D=32, seed=2, dtype=dtype)
+        state.bias = 0.375
+        state.refresh(kg)
+        subjects, rels = kg.train[:9, 0], kg.train[:9, 1]
+        train = score_batch(state, subjects, rels).raw
+        evaluate = raw_scores(ScoringView.from_state(state), subjects, rels)
+        assert train.dtype == evaluate.dtype == dtype
+        np.testing.assert_array_equal(train, evaluate)
 
 
 class TestRankQueries:

@@ -6,7 +6,7 @@ import pytest
 from conftest import graph_from_triples, make_graph
 from hdkg.errors import NumericError
 from hdkg.model import ModelState
-from hdkg.ranking import ScoringView, rank_queries
+from hdkg.ranking import ScoringView, rank_queries, raw_scores
 from hdkg.robustness import (
     FixedPointSpec,
     dimension_entropy,
@@ -147,10 +147,13 @@ class TestDropDims:
         assert not np.array_equal(k1, k3)
 
     def test_bias_and_sign_preserved(self):
+        # The restricted view scores bias minus the distance over the kept columns.
         view = self.make_view()
-        view.score_sign = "pos"
-        out, _ = drop_dims(view, 0.5)
-        assert out.bias == view.bias and out.score_sign == "pos"
+        out, keep = drop_dims(view, 0.5)
+        assert out.bias == view.bias
+        Q = view.M_v[0, keep] + view.H_r[1, keep]
+        want = view.bias - np.abs(Q - view.M_v[:, keep]).sum(axis=1)
+        np.testing.assert_allclose(raw_scores(out, [0], [1])[0], want, rtol=1e-12)
 
     def test_invalid_arguments(self):
         view = self.make_view()
@@ -175,12 +178,15 @@ class TestQuantizedView:
 
     def test_shape_bias_and_sign_preserved(self):
         kg = graph_from_triples([(0, 0, 1), (1, 1, 2)], 3, 2)
-        state = ModelState.create(3, 2, d=2, D=8, seed=1, score_sign="pos")
+        state = ModelState.create(3, 2, d=2, D=8, seed=1)
         state.bias = 0.3
         state.refresh(kg)
         view = quantized_view(state, kg, FixedPointSpec(6, 3))
         assert view.M_v.shape == state.M_v.shape
-        assert view.bias == 0.3 and view.score_sign == "pos"
+        assert view.bias == 0.3
+        Q = view.M_v[0] + view.H_r[0]
+        want = 0.3 - np.abs(Q - view.M_v).sum(axis=1)
+        np.testing.assert_allclose(raw_scores(view, [0], [0])[0], want, rtol=1e-12)
 
     def test_wider_format_reconstructs_closer(self):
         kg = make_graph(20, 3, 80, seed=6)
