@@ -11,7 +11,8 @@ Layout (all little-endian), version 1:
     flags      u32   bit 0: hardware backward mode
                      bit 1: retired (the "bias plus norm" score sign, no
                             longer supported); never written, rejected on load
-                     bit 2: identity activation
+                     bit 2: retired (a linear encoder without tanh, no
+                            longer supported); never written, rejected on load
                      bit 3: bias frozen
                      bit 4: adaptive optimizer scaling
                      bit 5: float32 compute dtype
@@ -50,33 +51,29 @@ _HEADER = "<4sIIIQQQIIddd16s32sd"
 
 FLAG_HARDWARE = 1 << 0
 FLAG_RETIRED_SIGN = 1 << 1
-FLAG_IDENTITY = 1 << 2
+FLAG_RETIRED_LINEAR = 1 << 2
 FLAG_BIAS_FROZEN = 1 << 3
 FLAG_ADAPTIVE = 1 << 4
 FLAG_FLOAT32 = 1 << 5
-KNOWN_FLAGS = (FLAG_HARDWARE | FLAG_IDENTITY | FLAG_BIAS_FROZEN | FLAG_ADAPTIVE
-               | FLAG_FLOAT32)
+KNOWN_FLAGS = FLAG_HARDWARE | FLAG_BIAS_FROZEN | FLAG_ADAPTIVE | FLAG_FLOAT32
 
 # The base matrix is regenerated from the seed on load, so a header could ask
 # for any amount of memory; past this many d x D cells it is taken as corrupt.
 MAX_BASE_CELLS = 1 << 24
 
-OPTIMIZERS = {"sgd": 0}
-OPTIMIZER_NAMES = {v: k for k, v in OPTIMIZERS.items()}
+OPTIMIZER_SGD = 0   # the one optimizer code written
+OPTIMIZER_NAMES = {OPTIMIZER_SGD: "sgd"}
 
 
 def save_checkpoint(path, state: ModelState, seed: int, config_hash: bytes,
                     mode: str = "reference", lr: float = 0.05,
                     momentum: float = 0.0, label_smoothing: float = 0.1,
-                    optimizer: str = "sgd", bias_trainable: bool = True,
-                    adaptive: bool = False) -> None:
+                    bias_trainable: bool = True, adaptive: bool = False) -> None:
     if len(config_hash) != 32:
         raise ValueError("config_hash must be 32 bytes (sha256 digest)")
     flags = 0
     if mode == "hardware":
         flags |= FLAG_HARDWARE
-    if state.activation == "identity":
-        flags |= FLAG_IDENTITY
     if not bias_trainable:
         flags |= FLAG_BIAS_FROZEN
     if adaptive:
@@ -86,7 +83,7 @@ def save_checkpoint(path, state: ModelState, seed: int, config_hash: bytes,
     header = struct.pack(
         _HEADER, MAGIC, VERSION, state.base.d, state.base.D,
         len(state.e_v), len(state.e_r), seed, flags,
-        OPTIMIZERS[optimizer], lr, momentum, label_smoothing,
+        OPTIMIZER_SGD, lr, momentum, label_smoothing,
         GENERATOR_TAG.encode("ascii").ljust(16, b"\0"), config_hash,
         float(state.bias))
     with atomic_write(path, "wb") as fh:
@@ -118,6 +115,10 @@ def load_checkpoint(path) -> tuple[ModelState, dict]:
             raise CheckpointFormatError(
                 f"{path}: flag bit 1 marks a model scored as bias plus distance, "
                 "a convention this version no longer supports")
+        if flags & FLAG_RETIRED_LINEAR:
+            raise CheckpointFormatError(
+                f"{path}: flag bit 2 marks a model encoded without tanh, "
+                "an encoder this version no longer supports")
         unknown = [b for b in range(32) if flags & ~KNOWN_FLAGS & (1 << b)]
         if unknown:
             raise CheckpointFormatError(
@@ -146,8 +147,7 @@ def load_checkpoint(path) -> tuple[ModelState, dict]:
     e_v = np.frombuffer(ev_bytes, dtype="<f8").reshape(n_ent, d).astype(dtype)
     e_r = np.frombuffer(er_bytes, dtype="<f8").reshape(n_rel, d).astype(dtype)
     state = ModelState(
-        base=BaseMatrix.create(d, D, seed), e_v=e_v, e_r=e_r, bias=bias,
-        activation="identity" if flags & FLAG_IDENTITY else "tanh")
+        base=BaseMatrix.create(d, D, seed), e_v=e_v, e_r=e_r, bias=bias)
     meta = {
         "seed": seed,
         "mode": "hardware" if flags & FLAG_HARDWARE else "reference",

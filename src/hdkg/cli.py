@@ -79,18 +79,23 @@ def _stamp(cfg: RunConfig) -> dict:
             "version": __version__}
 
 
-def _load_state(cfg: RunConfig):
+def _load_model(cfg: RunConfig) -> tuple[KnowledgeGraph, ModelState]:
+    """The graph and the checkpoint's model, checked to agree in shape."""
+    kg = _load_graph(cfg)
     if not cfg.checkpoint:
         raise ConfigError("checkpoint path is required")
-    state, meta = load_checkpoint(cfg.checkpoint)
-    return state, meta
+    state, _ = load_checkpoint(cfg.checkpoint)
+    if len(state.e_v) != kg.n_entities or len(state.e_r) != kg.n_relations:
+        raise CheckpointFormatError(
+            f"checkpoint shapes ({len(state.e_v)} vertices, {len(state.e_r)} "
+            f"relations) do not match the dataset "
+            f"({kg.n_entities} vertices, {kg.n_relations} relations)")
+    return kg, state
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
-    if not cfg.dataset:
-        raise ConfigError("dataset path is required")
-    path = Path(cfg.dataset)
-    kg = load_cache(path) if path.suffix == ".hdkg" else load_dataset(path)
+    # The cache keeps the graph as read; the other commands add reciprocals.
+    kg = _load_graph(replace(cfg, reciprocal=False))
     out = cfg.resolved_out_dir()
     out.mkdir(parents=True, exist_ok=True)
     save_cache(kg, out / "dataset.hdkg")
@@ -105,7 +110,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     kg = _load_graph(cfg)
     state = ModelState.create(kg.n_entities, kg.n_relations, cfg.d, cfg.D,
-                              cfg.seed, dtype=_dtype(cfg), activation=cfg.activation)
+                              cfg.seed, dtype=_dtype(cfg))
     train_cfg = TrainConfig(
         batch_size=cfg.batch_size, chunk_T=cfg.chunk_T, mode=cfg.mode,
         label_smoothing=cfg.label_smoothing,
@@ -157,18 +162,14 @@ def _eval_view(cfg: RunConfig, view, kg: KnowledgeGraph, mode_label: str,
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    kg = _load_graph(cfg)
-    state, _ = _load_state(cfg)
-    _check_shapes(state, kg)
+    kg, state = _load_model(cfg)
     state.refresh(kg)
     label = "filtered" if cfg.filtered else "raw"
     return _eval_view(cfg, ScoringView.from_state(state), kg, label)
 
 
 def cmd_quantize_eval(cfg: RunConfig) -> int:
-    kg = _load_graph(cfg)
-    state, _ = _load_state(cfg)
-    _check_shapes(state, kg)
+    kg, state = _load_model(cfg)
     spec = FixedPointSpec(cfg.fix_bits, cfg.frac_bits)
     view = quantized_view(state, kg, spec)
     label = f"fix{cfg.fix_bits}.{cfg.frac_bits}"
@@ -176,9 +177,7 @@ def cmd_quantize_eval(cfg: RunConfig) -> int:
 
 
 def cmd_drop_dims_eval(cfg: RunConfig) -> int:
-    kg = _load_graph(cfg)
-    state, _ = _load_state(cfg)
-    _check_shapes(state, kg)
+    kg, state = _load_model(cfg)
     state.refresh(kg)
     view, kept = drop_dims(ScoringView.from_state(state), cfg.drop_frac,
                            cfg.drop_strategy, seed=cfg.seed)
@@ -189,9 +188,7 @@ def cmd_drop_dims_eval(cfg: RunConfig) -> int:
 
 
 def cmd_reconstruct(cfg: RunConfig) -> int:
-    kg = _load_graph(cfg)
-    state, _ = _load_state(cfg)
-    _check_shapes(state, kg)
+    kg, state = _load_model(cfg)
     state.refresh(kg)
     if not 0 <= cfg.vertex < kg.n_entities:
         raise ConfigError(f"vertex {cfg.vertex} out of range")
@@ -241,14 +238,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     print(f"single-batch latency {report.single_batch_latency_ms:.3f} ms, "
           f"warm hit rate {report.warm['hit_rate']:.3f}")
     return 0
-
-
-def _check_shapes(state: ModelState, kg: KnowledgeGraph) -> None:
-    if len(state.e_v) != kg.n_entities or len(state.e_r) != kg.n_relations:
-        raise CheckpointFormatError(
-            f"checkpoint shapes ({len(state.e_v)} vertices, {len(state.e_r)} "
-            f"relations) do not match the dataset "
-            f"({kg.n_entities} vertices, {kg.n_relations} relations)")
 
 
 _HANDLERS = {

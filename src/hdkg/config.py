@@ -16,6 +16,10 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
+from .hdc import SIMILARITY_METRICS
+from .model import BACKWARD_MODES
+from .robustness import DROP_STRATEGIES, FixedPointSpec
+from .sim.cache import CACHE_POLICIES
 
 OUTPUT_DIR_ENV = "HDKG_OUTPUT_DIR"
 
@@ -35,8 +39,9 @@ class RunConfig:
     batch_size: int = 128
     chunk_T: int = 32
     mode: str = "reference"
-    # Only "neg" is valid.  The field stays because the benchmark harness
-    # reads it, and because dropping it would change every config hash.
+    # Only "neg" and "tanh" are valid.  Both fields stay because the
+    # benchmark harness reads them, and because dropping them would change
+    # every config hash.
     score_sign: str = "neg"
     activation: str = "tanh"
     lr: float = 0.05
@@ -150,6 +155,8 @@ def build_config(preset: str | None = None, config_path=None,
 
 
 def validate(cfg: RunConfig) -> None:
+    """Raise ConfigError on the first invalid field.  Enumerations and the
+    fixed-point range are taken from the modules that enforce them."""
     def require(cond, message):
         if not cond:
             raise ConfigError(message)
@@ -159,20 +166,25 @@ def validate(cfg: RunConfig) -> None:
     require(cfg.batch_size > 0, "batch_size must be positive")
     require(cfg.chunk_T > 0, "chunk_T must be positive")
     require(cfg.epochs >= 0, "epochs must be non-negative")
-    require(cfg.mode in ("reference", "hardware"), "mode must be reference or hardware")
+    require(cfg.mode in BACKWARD_MODES, f"mode must be {' or '.join(BACKWARD_MODES)}")
     require(cfg.score_sign == "neg", "score_sign must be neg")
-    require(cfg.activation in ("tanh", "identity"), "activation must be tanh or identity")
+    require(cfg.activation == "tanh", "activation must be tanh")
     require(cfg.dtype in ("float64", "float32"), "dtype must be float64 or float32")
     require(0.0 <= cfg.label_smoothing < 1.0, "label_smoothing must be in [0, 1)")
     require(math.isfinite(cfg.lr) and cfg.lr > 0.0, "lr must be positive and finite")
     require(0.0 <= cfg.momentum < 1.0, "momentum must be in [0, 1)")
     require(cfg.split in ("train", "valid", "test"), "split must be train, valid, or test")
-    require(cfg.metric in ("cosine", "neg_l1", "sign_hamming"), "unknown metric")
-    require(cfg.fix_bits >= 2, "fix_bits must be at least 2")
-    require(0 <= cfg.frac_bits <= cfg.fix_bits - 1, "frac_bits out of range")
+    require(cfg.metric in SIMILARITY_METRICS, f"unknown metric {cfg.metric!r}")
+    try:
+        FixedPointSpec(cfg.fix_bits, cfg.frac_bits)
+    except ValueError as exc:
+        raise ConfigError(
+            f"fix_bits {cfg.fix_bits}, frac_bits {cfg.frac_bits}: {exc}") from None
     require(0.0 <= cfg.drop_frac < 1.0, "drop_frac must be in [0, 1)")
-    require(cfg.drop_strategy in ("entropy", "random"), "unknown drop strategy")
-    require(cfg.cache_policy in ("", "lru", "lfu", "random"), "unknown cache policy")
+    require(cfg.drop_strategy in DROP_STRATEGIES,
+            f"unknown drop strategy {cfg.drop_strategy!r}")
+    require(cfg.cache_policy == "" or cfg.cache_policy in CACHE_POLICIES,
+            f"unknown cache policy {cfg.cache_policy!r}")
     require(cfg.n_engines >= 0, "n_engines must be non-negative")
     require(cfg.cache_slots >= 0, "cache_slots must be non-negative")
     require(cfg.topk > 0, "topk must be positive")
@@ -185,8 +197,7 @@ def validate(cfg: RunConfig) -> None:
         except ValueError:
             raise ConfigError(f"bad sweep capacity {item!r}") from None
     for item in cfg.sweep_policies.split(","):
-        require(item.strip() in ("lru", "lfu", "random"),
-                f"bad sweep policy {item!r}")
+        require(item.strip() in CACHE_POLICIES, f"bad sweep policy {item!r}")
 
 
 # File locations say where inputs and outputs live, not what the run

@@ -6,9 +6,11 @@ hypervectors through a fixed random projection followed by tanh:
     H = tanh(e @ B)
 
 where B is a d x D matrix of i.i.d. standard normal entries drawn once from
-the ``base-matrix`` stream and never trained.  Bundling is elementwise
-addition, binding is elementwise (Hadamard) multiplication.  Hypervector
-matrices are plain float arrays of shape (rows, D).
+the ``base-matrix`` stream and never trained.  This is the one encoder form:
+training, evaluation and the quantized studies all call :func:`encode`.
+Bundling is elementwise addition, binding is elementwise (Hadamard)
+multiplication.  Hypervector matrices are plain float arrays of shape
+(rows, D).
 """
 
 from __future__ import annotations
@@ -42,22 +44,13 @@ class BaseMatrix:
         return cls(d=d, D=D, seed=seed, data=data)
 
 
-def encode(embeddings: np.ndarray, base: BaseMatrix, activation: str = "tanh") -> np.ndarray:
-    """Lift embedding rows into hypervectors: tanh(e @ B).
-
-    ``activation="identity"`` skips the nonlinearity; it exists only so tests
-    can compare gradient modes on a linear encoder.
-    """
+def encode(embeddings: np.ndarray, base: BaseMatrix) -> np.ndarray:
+    """Lift embedding rows into hypervectors: tanh(e @ B)."""
     embeddings = np.asarray(embeddings)
     if embeddings.ndim != 2 or embeddings.shape[1] != base.d:
         raise ShapeError(
             f"embeddings must be (rows, {base.d}), got {embeddings.shape}")
-    projected = embeddings @ base.data.astype(embeddings.dtype, copy=False)
-    if activation == "tanh":
-        return np.tanh(projected)
-    if activation == "identity":
-        return projected
-    raise ValueError(f"unknown activation {activation!r}")
+    return np.tanh(embeddings @ base.data.astype(embeddings.dtype, copy=False))
 
 
 def bind(a: np.ndarray, b: np.ndarray) -> np.ndarray:

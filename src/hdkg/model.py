@@ -84,50 +84,48 @@ BACKWARD_MODES = ("reference", "hardware")
 
 @dataclass
 class ModelState:
-    """Trainable parameters plus derived tensors and their freshness flags."""
+    """Trainable parameters plus derived tensors and their freshness flag."""
 
     base: BaseMatrix
     e_v: np.ndarray
     e_r: np.ndarray
     bias: float = 0.0
-    activation: str = "tanh"
 
     H_v: np.ndarray | None = field(default=None, repr=False)
     H_r: np.ndarray | None = field(default=None, repr=False)
     M_v: np.ndarray | None = field(default=None, repr=False)
     G: np.ndarray | None = field(default=None, repr=False)
-    hv_fresh: bool = False
     mv_fresh: bool = False
 
     @classmethod
     def create(cls, n_entities: int, n_relations: int, d: int, D: int, seed: int,
                dtype=np.float64, activation: str = "tanh",
                score_sign: str = "neg") -> "ModelState":
-        # ``score_sign`` stays only because the benchmark harness passes
-        # ``RunConfig.score_sign`` here; "neg" is the one convention.
+        # ``activation`` and ``score_sign`` stay only because the benchmark
+        # harness passes them (see RunConfig); each has one valid value.
         if n_entities <= 0 or n_relations <= 0:
             raise ValueError("entity and relation counts must be positive")
+        if activation != "tanh":
+            raise ValueError(f"activation must be 'tanh', got {activation!r}")
         if score_sign != "neg":
             raise ValueError(f"score_sign must be 'neg', got {score_sign!r}")
         base = BaseMatrix.create(d, D, seed)
         gen = rng.stream(seed, "init")
         e_v = gen.uniform(-INIT_SCALE, INIT_SCALE, size=(n_entities, d)).astype(dtype)
         e_r = gen.uniform(-INIT_SCALE, INIT_SCALE, size=(n_relations, d)).astype(dtype)
-        return cls(base=base, e_v=e_v, e_r=e_r, activation=activation)
+        return cls(base=base, e_v=e_v, e_r=e_r)
 
     @property
     def dtype(self):
         return self.e_v.dtype
 
     def mark_stale(self):
-        self.hv_fresh = False
         self.mv_fresh = False
 
     def refresh(self, kg: KnowledgeGraph):
         """Re-encode hypervectors and re-memorize the graph after updates."""
-        self.H_v = encode(self.e_v, self.base, self.activation)
-        self.H_r = encode(self.e_r, self.base, self.activation)
-        self.hv_fresh = True
+        self.H_v = encode(self.e_v, self.base)
+        self.H_r = encode(self.e_r, self.base)
         self.M_v, self.G = memorize_edge_list(kg, self.H_v, self.H_r)
         self.mv_fresh = True
         return self
@@ -304,7 +302,7 @@ def chunked_backward(state: ModelState, kg: KnowledgeGraph, signals: ScoreSignal
     a second dict: the candidate-side memory gradient before the subject
     scatter (``gM_candidates``), the per-query gradient (``gQ``), the
     relation rows it scatters into (``gHr_direct``), and the hypervector
-    gradients ``gHv`` and ``gHr`` before the encoder's activation derivative.
+    gradients ``gHv`` and ``gHr`` before the encoder's tanh derivative.
     """
     if mode not in BACKWARD_MODES:
         raise ValueError(f"mode must be one of {BACKWARD_MODES}")
@@ -337,7 +335,7 @@ def chunked_backward(state: ModelState, kg: KnowledgeGraph, signals: ScoreSignal
                        H_vertex=state.H_v, g_rel=gHr)
     if return_internals:
         internals["gHv"], internals["gHr"] = gHv.copy(), gHr.copy()
-    if mode == "reference" and state.activation == "tanh":
+    if mode == "reference":
         for g, H in ((gHv, state.H_v), (gHr, state.H_r)):
             deriv = np.square(H)
             np.subtract(1.0, deriv, out=deriv)

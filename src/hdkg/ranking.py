@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .errors import ShapeError
+from .errors import ShapeError, StalenessError
 from .kg import PairIndex
 from .model import ModelState, query_scores
 
@@ -39,7 +39,7 @@ class ScoringView:
     @classmethod
     def from_state(cls, state: ModelState) -> "ScoringView":
         if not state.mv_fresh:
-            raise ShapeError("state must be refreshed before evaluation")
+            raise StalenessError("state must be refreshed before evaluation")
         return cls(M_v=state.M_v, H_r=state.H_r, bias=state.bias)
 
 
@@ -100,7 +100,7 @@ def reconstruct_neighbors(state: ModelState, vertex: int, relation: int | None =
     back to the neg_l1 metric.
     """
     if not state.mv_fresh:
-        raise ShapeError("state must be refreshed before reconstruction")
+        raise StalenessError("state must be refreshed before reconstruction")
     m = state.M_v[vertex]
     candidates = state.H_v if relation is None else state.H_v * state.H_r[relation]
     if metric == "cosine" and not np.any(m):

@@ -1,8 +1,8 @@
 """Robustness studies: fixed-point quantization and dimension dropping.
 
-Quantization models a signed fixed-point store with ``total_bits`` bits,
-``frac_bits`` of them fractional: values round to the nearest representable
-step (ties to even) and saturate at the format limits
+Quantization models a signed fixed-point store with ``total_bits`` bits (at
+most MAX_TOTAL_BITS), ``frac_bits`` of them fractional: values round to the
+nearest representable step (ties to even) and saturate at the format limits
 
     [-2^(total-frac-1),  2^(total-frac-1) - 2^-frac].
 
@@ -34,6 +34,10 @@ from .ranking import ScoringView
 
 ENTROPY_BINS = 32
 DROP_STRATEGIES = ("entropy", "random")
+# The quantizer computes in float64: it rounds any grid finer than 53
+# significant bits, and past 1024 bits the format limits overflow.  64 bits
+# covers every store the studies model.
+MAX_TOTAL_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -44,10 +48,13 @@ class FixedPointSpec:
     frac_bits: int
 
     def __post_init__(self):
-        if self.total_bits < 2:
-            raise ValueError("total_bits must be at least 2 (sign plus one bit)")
+        if not 2 <= self.total_bits <= MAX_TOTAL_BITS:
+            raise ValueError(f"total_bits must lie in [2, {MAX_TOTAL_BITS}]: a sign "
+                             "plus one bit, and no wider than the float64 "
+                             "quantizer can model")
         if not 0 <= self.frac_bits <= self.total_bits - 1:
-            raise ValueError("frac_bits must lie in [0, total_bits - 1]")
+            raise ValueError("frac_bits out of range: it must lie in "
+                             "[0, total_bits - 1]")
 
     @property
     def step(self) -> float:
@@ -119,7 +126,7 @@ def quantized_view(state: ModelState, kg: KnowledgeGraph,
     """Rebuild the scoring tensors with every stored value quantized."""
     q = lambda a: quantize_fixed(a, spec)
     base_q = replace(state.base, data=q(state.base.data))
-    H_v = q(encode(q(state.e_v), base_q, state.activation))
-    H_r = q(encode(q(state.e_r), base_q, state.activation))
+    H_v = q(encode(q(state.e_v), base_q))
+    H_r = q(encode(q(state.e_r), base_q))
     M_v, _ = memorize_edge_list(kg, H_v, H_r)
     return ScoringView(M_v=q(M_v), H_r=H_r, bias=float(state.bias))

@@ -20,6 +20,8 @@ while it computes takes the larger of the two.
              (T x batch_size x D and T x D x d MACs) plus one elementwise
              T x D pass; the loss gradient ships down over the host link and
              embedding gradients ship back up, overlapped with chunk compute.
+             The work is linear in T, so the chunks add up to one pass over
+             all |V| columns and T does not change the modeled time.
 
 A fixed per-batch host overhead accounts for launch and driver latency.
 Modeled single-batch latency is the steady-state sum of the stage times plus
@@ -141,13 +143,6 @@ def replay_schedule(batches, neighbors_of, cache: Cache, registry: Registry,
     return stats
 
 
-def _chunk_widths(n: int, T: int) -> list[int]:
-    widths = [T] * (n // T)
-    if n % T:
-        widths.append(n % T)
-    return widths
-
-
 @dataclass
 class SimReport:
     """Modeled timing and traffic for one dataset on one configuration."""
@@ -185,7 +180,7 @@ def simulate(degrees: np.ndarray, neighbors_of, n_relations: int, n_train: int,
     warm_batches = schedule_epoch(degrees, cfg.mem_engines, registry)
     warm = replay_schedule(warm_batches, neighbors_of, cache, registry, d, D, cfg)
 
-    B, T = cfg.batch_size, cfg.chunk_T
+    B = cfg.batch_size
     n_train_batches = max(1, -(-n_train // B))
 
     encode_macs = cold.encodes * d * D
@@ -198,8 +193,9 @@ def simulate(degrees: np.ndarray, neighbors_of, n_relations: int, n_train: int,
     score = StageTime(
         compute_s=B * n_vertices * D / (cfg.score_ops_per_cycle * cfg.clock_hz),
         traffic_s=n_vertices * D * cfg.elem_bytes / cfg.device_bytes_per_s)
-    train_macs = sum(w * B * D + w * D * d + w * D
-                     for w in _chunk_widths(n_vertices, T))
+    # The per-chunk work is linear in the chunk width, so the chunks sum to
+    # one pass over all candidate columns whatever T is.
+    train_macs = n_vertices * D * (B + d + 1)
     train_host_bytes = (B * n_vertices + n_vertices * d) * cfg.elem_bytes
     train = StageTime(
         compute_s=train_macs / (cfg.train_macs_per_cycle * cfg.clock_hz),

@@ -78,15 +78,14 @@ class TestRoundtrip:
 
 class TestFlags:
     def test_training_metadata_roundtrip(self, tmp_path):
-        state = some_state(activation="identity")
         path = tmp_path / "model.hdck"
-        save_checkpoint(path, state, seed=1, config_hash=DIGEST,
+        save_checkpoint(path, some_state(), seed=1, config_hash=DIGEST,
                         mode="hardware", lr=0.5, momentum=0.9,
                         label_smoothing=0.0, bias_trainable=False,
                         adaptive=True)
-        assert flags_word(path) == 0b11101   # bits 0, 2, 3 and 4; never bit 1
-        back, meta = load_checkpoint(path)
-        assert back.activation == "identity"
+        assert flags_word(path) == 0b11001   # bits 0, 3 and 4; never bits 1 or 2
+        _, meta = load_checkpoint(path)
+        assert meta["optimizer"] == "sgd"
         assert meta["mode"] == "hardware"
         assert meta["lr"] == 0.5
         assert meta["momentum"] == 0.9
@@ -98,8 +97,7 @@ class TestFlags:
         path = tmp_path / "model.hdck"
         save_checkpoint(path, some_state(), seed=1, config_hash=DIGEST)
         assert flags_word(path) == 0
-        back, meta = load_checkpoint(path)
-        assert back.activation == "tanh"
+        _, meta = load_checkpoint(path)
         assert meta["mode"] == "reference"
         assert meta["bias_trainable"] is True and meta["adaptive"] is False
 
@@ -108,6 +106,14 @@ class TestFlags:
         save_checkpoint(path, some_state(), seed=1, config_hash=DIGEST)
         set_flag_bits(path, 1)
         with pytest.raises(CheckpointFormatError, match="flag bit 1 .* no longer supports"):
+            load_checkpoint(path)
+
+    def test_retired_linear_encoder_bit_rejected(self, tmp_path):
+        path = tmp_path / "model.hdck"
+        save_checkpoint(path, some_state(), seed=1, config_hash=DIGEST)
+        set_flag_bits(path, 2)
+        with pytest.raises(CheckpointFormatError,
+                           match="flag bit 2 .* without tanh.* no longer supports"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("bits, named", [((9,), "bits 9$"), ((6, 31), "bits 6, 31$")])

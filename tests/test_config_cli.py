@@ -74,6 +74,16 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="score_sign must be neg"):
             build_config(overrides={"score_sign": "pos"})
 
+    def test_only_the_tanh_activation(self):
+        assert build_config(overrides={"activation": "tanh"}).activation == "tanh"
+        with pytest.raises(ConfigError, match="activation must be tanh"):
+            build_config(overrides={"activation": "identity"})
+
+    def test_fixed_point_width_bounded(self):
+        assert build_config(overrides={"fix_bits": "64"}).fix_bits == 64
+        with pytest.raises(ConfigError, match=r"fix_bits 65, .*\[2, 64\]"):
+            build_config(overrides={"fix_bits": "65"})
+
     def test_none_overrides_are_skipped(self):
         cfg = build_config(overrides={"d": None, "D": "64"})
         assert cfg.d == RunConfig().d and cfg.D == 64
@@ -123,6 +133,9 @@ class TestValidate:
         ("lr", float("inf"), "lr must be positive and finite"),
         ("score_sign", "pos", "score_sign must be neg"),
         ("dtype", "float16", "dtype"),
+        ("fix_bits", 1, "total_bits must lie in"),
+        ("metric", "dot", "unknown metric"),
+        ("cache_policy", "mru", "unknown cache policy"),
     ])
     def test_rejections(self, field, value, message):
         with pytest.raises(ConfigError, match=message):
@@ -215,6 +228,12 @@ class TestCliTrain:
         assert "lr must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "model.hdck").exists()
 
+    def test_identity_activation_is_exit_2(self, dataset_dir, tmp_path, capsys):
+        assert run_cli("train", "--dataset", str(dataset_dir),
+                       "--out-dir", str(tmp_path), "--activation", "identity") == 2
+        assert "activation must be tanh" in capsys.readouterr().err
+        assert not (tmp_path / "model.hdck").exists()
+
     def test_artifacts(self, trained_dir):
         assert (trained_dir / "model.hdck").exists()
         lines = (trained_dir / "train_metrics.jsonl").read_text().splitlines()
@@ -280,7 +299,8 @@ class TestCliEval:
                        "--checkpoint", str(bad), "--out-dir", str(tmp_path)) == 3
         assert "truncated parameter" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bit, message", [(1, "flag bit 1"), (9, "unknown flag bits 9")])
+    @pytest.mark.parametrize("bit, message", [(1, "flag bit 1"), (9, "unknown flag bits 9"),
+                                              (2, "flag bit 2")])
     def test_flag_bits_it_cannot_honour_are_exit_3(self, dataset_dir, trained_dir,
                                                    tmp_path, capsys, bit, message):
         bad = tmp_path / "flagged.hdck"
@@ -322,6 +342,15 @@ class TestCliRobustness:
         assert code == 0
         row = json.loads((trained_dir / "quantize_metrics.json").read_text())
         assert row["mode"] == "fix8.4"
+
+    def test_too_wide_fixed_point_is_exit_2(self, dataset_dir, trained_dir,
+                                            tmp_path, capsys):
+        assert run_cli("quantize-eval", "--dataset", str(dataset_dir),
+                       "--checkpoint", str(trained_dir / "model.hdck"),
+                       "--out-dir", str(tmp_path), "--fix-bits", "2000",
+                       "--frac-bits", "4", "--d", "4", "--D", "16") == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "quantize_metrics.json").exists()
 
     def test_drop_dims_eval_both_strategies(self, dataset_dir, trained_dir):
         for strategy in ("entropy", "random"):

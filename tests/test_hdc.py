@@ -14,10 +14,6 @@ GOLDEN_BASE = np.array([
     [0.9334620369300807, 0.6751928519270304, 0.2884612800439013, -1.9166466632376802],
 ])
 GOLDEN_EMB = np.array([[0.5, -0.25], [1.0, 2.0]])
-GOLDEN_LINEAR = np.array([
-    [-0.5483994715219097, 0.5637441042289177, -0.29176163410809863, 1.547340307616275],
-    [1.2368561492813823, 2.8154703382754116, 0.137629931893556, -1.6969360428616502],
-])
 GOLDEN_TANH = np.array([
     [-0.4993196871667346, 0.5107501180738907, -0.2837554134655069, 0.9133455831983542],
     [0.844556567656903, 0.992855213047165, 0.1367674706947533, -0.9350249459980478],
@@ -57,11 +53,6 @@ class TestEncode:
         np.testing.assert_allclose(encode(GOLDEN_EMB, base), GOLDEN_TANH,
                                    rtol=0, atol=1e-15)
 
-    def test_identity_activation_is_linear(self):
-        base = BaseMatrix.create(d=2, D=4, seed=7)
-        np.testing.assert_allclose(encode(GOLDEN_EMB, base, activation="identity"),
-                                   GOLDEN_LINEAR, rtol=0, atol=1e-15)
-
     def test_output_bounded_by_tanh(self):
         base = BaseMatrix.create(8, 256, seed=2)
         H = encode(np.random.default_rng(0).normal(size=(10, 8)) * 5, base)
@@ -72,11 +63,6 @@ class TestEncode:
         base = BaseMatrix.create(3, 8, seed=0)
         with pytest.raises(ShapeError):
             encode(np.zeros((2, 4)), base)
-
-    def test_unknown_activation(self):
-        base = BaseMatrix.create(2, 4, seed=0)
-        with pytest.raises(ValueError, match="activation"):
-            encode(GOLDEN_EMB, base, activation="relu")
 
 
 class TestBindBundle:

@@ -67,7 +67,7 @@ class TestModelState:
         np.testing.assert_allclose(state.H_v, np.tanh(state.e_v @ basemat))
         np.testing.assert_allclose(state.H_r, np.tanh(state.e_r @ basemat))
         np.testing.assert_array_equal(state.H_v, encode(state.e_v, state.base))
-        assert state.hv_fresh and state.mv_fresh
+        assert state.mv_fresh
 
     def test_create_accepts_only_the_neg_sign(self):
         state = ModelState.create(3, 2, d=2, D=4, seed=7, score_sign="neg")
@@ -75,10 +75,16 @@ class TestModelState:
         with pytest.raises(ValueError, match="score_sign"):
             ModelState.create(3, 2, d=2, D=4, seed=7, score_sign="pos")
 
+    def test_create_accepts_only_tanh(self):
+        state = ModelState.create(3, 2, d=2, D=4, seed=7, activation="tanh")
+        assert not hasattr(state, "activation")
+        with pytest.raises(ValueError, match="activation must be 'tanh'"):
+            ModelState.create(3, 2, d=2, D=4, seed=7, activation="identity")
+
     def test_mark_stale(self):
         state = fresh_state(tiny_graph())
         state.mark_stale()
-        assert not state.hv_fresh and not state.mv_fresh
+        assert not state.mv_fresh
 
 
 class TestMemorize:
@@ -300,8 +306,7 @@ def analytic_grads(kg, state, subjects, rels, targets, ls=0.1, mode="reference",
 def numeric_grads(kg, state, subjects, rels, targets, ls=0.1, h=1e-5):
     """Central finite differences through the full refresh-score-loss pipeline."""
     def loss_at(e_v, e_r, bias):
-        probe = ModelState(base=state.base, e_v=e_v, e_r=e_r, bias=bias,
-                           activation=state.activation)
+        probe = ModelState(base=state.base, e_v=e_v, e_r=e_r, bias=bias)
         probe.refresh(kg)
         sig = score_batch(probe, subjects, rels)
         loss, _ = loss_and_delta(sig, targets, kg.n_entities, label_smoothing=ls)
@@ -385,15 +390,21 @@ class TestBackward:
 
     def test_hardware_equals_reference_on_linear_self_loops(self):
         # On a pure self-loop graph the exact vertex gradient contracts to
-        # gM * G, so with a linear encoder the two modes agree on e_v.
+        # gM * G, so the two modes agree on it before the encoder's tanh
+        # derivative, which only the reference mode applies.
         kg = graph_from_triples([(i, i % 2, i) for i in range(5)], 5, 2)
-        state = fresh_state(kg, d=3, D=8, seed=1, activation="identity")
+        state = fresh_state(kg, d=3, D=8, seed=1)
         subjects = np.array([0, 3])
         rels = np.array([0, 1])
-        targets = [[0], [3]]
-        ref = analytic_grads(kg, state, subjects, rels, targets, mode="reference")
-        hw = analytic_grads(kg, state, subjects, rels, targets, mode="hardware")
-        np.testing.assert_allclose(hw.e_v, ref.e_v, atol=1e-12)
+        sig = score_batch(state, subjects, rels)
+        _, delta = loss_and_delta(sig, [[0], [3]], kg.n_entities)
+        ref, ref_info = chunked_backward(state, kg, sig, delta, T=5,
+                                         mode="reference", return_internals=True)
+        hw, hw_info = chunked_backward(state, kg, sig, delta, T=5,
+                                       mode="hardware", return_internals=True)
+        np.testing.assert_allclose(hw_info["gHv"], ref_info["gHv"], rtol=0,
+                                   atol=1e-12)
+        assert np.abs(ref_info["gHv"]).max() > 1e-6
         assert hw.bias == ref.bias
 
     def test_rejects_bad_mode_and_chunk(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import dict_tail_index, graph_from_triples, make_graph
-from hdkg.errors import ShapeError
+from hdkg.errors import ShapeError, StalenessError
 from hdkg.kg import tail_index
 from hdkg.model import ModelState, score_batch
 from hdkg.ranking import (
@@ -51,6 +51,11 @@ class TestRawScores:
         evaluate = raw_scores(ScoringView.from_state(state), subjects, rels)
         assert train.dtype == evaluate.dtype == dtype
         np.testing.assert_array_equal(train, evaluate)
+
+    def test_stale_state_rejected(self):
+        # The same error score_batch raises: the memory is not built yet.
+        with pytest.raises(StalenessError, match="refreshed"):
+            ScoringView.from_state(ModelState.create(3, 2, d=2, D=4, seed=0))
 
 
 class TestRankQueries:
@@ -158,7 +163,7 @@ class TestReconstruct:
         kg = graph_from_triples([(0, 0, 1)], 2, 1)
         state = ModelState.create(2, 1, d=2, D=8, seed=0).refresh(kg)
         state.mark_stale()
-        with pytest.raises(ShapeError):
+        with pytest.raises(StalenessError):
             reconstruct_neighbors(state, 0)
 
     def test_deterministic_tie_order(self):

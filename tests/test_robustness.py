@@ -8,6 +8,7 @@ from hdkg.errors import NumericError
 from hdkg.model import ModelState
 from hdkg.ranking import ScoringView, rank_queries, raw_scores
 from hdkg.robustness import (
+    MAX_TOTAL_BITS,
     FixedPointSpec,
     dimension_entropy,
     drop_dims,
@@ -34,6 +35,13 @@ class TestFixedPointSpec:
             FixedPointSpec(4, 4)
         with pytest.raises(ValueError):
             FixedPointSpec(4, -1)
+
+    def test_width_bounded_by_float64(self):
+        assert FixedPointSpec(MAX_TOTAL_BITS, 4).lo == -(2.0 ** 59)
+        with pytest.raises(ValueError, match=r"\[2, 64\]"):
+            FixedPointSpec(65, 4)
+        with pytest.raises(ValueError, match="total_bits"):
+            FixedPointSpec(2000, 4)
 
 
 class TestQuantizeFixed:

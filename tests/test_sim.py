@@ -299,6 +299,23 @@ class TestSimulate:
         expected = cfg.batch_size * 120 * 256 / (cfg.score_ops_per_cycle * cfg.clock_hz)
         assert report.stages["score"]["compute_s"] == pytest.approx(expected)
 
+    def test_chunk_width_does_not_change_the_model(self):
+        # The train stage's work is linear in the chunk width, so only the
+        # config echo may differ between chunk widths.
+        degrees, neighbors_of = tiny_workload()
+        reports = []
+        for T in (1, 7, 32, 120):
+            cfg = dataclasses.replace(PRESETS["u50"], chunk_T=T)
+            report = dataclasses.asdict(
+                simulate(degrees, neighbors_of, 4, 600, d=96, D=256, cfg=cfg))
+            assert report.pop("config")["chunk_T"] == T
+            reports.append(report)
+        assert all(r == reports[0] for r in reports[1:])
+        cfg = PRESETS["u50"]
+        assert reports[0]["stages"]["train"]["compute_s"] == pytest.approx(
+            120 * 256 * (cfg.batch_size + 96 + 1)
+            / (cfg.train_macs_per_cycle * cfg.clock_hz), rel=1e-15)
+
     def test_doubling_bandwidth_halves_fetch_time(self):
         degrees, neighbors_of = tiny_workload()
         cfg = PRESETS["u50"]
