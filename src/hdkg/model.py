@@ -56,11 +56,22 @@ score carries gradient), the dense tiles run instead:
 candidate columns in chunks of T, SIGN_TILE at a time.  Results are
 independent of T up to float summation order (identical when each vertex is
 touched by one chunk, which holds for the candidate-side accumulations).
+
+Every sign, in both routes and in score_batch's cached S, comes from two
+comparisons (:func:`_signs`), exact wherever Q and M are finite; score_batch
+rejects non-finite scores.  The dense tiles run in rounds of DENSE_PARTS, on
+min(DENSE_PARTS, available cores) threads.  Each tile is the same einsum over
+the same operands whatever the thread, and the per-query sums take the
+tiles' contributions in tile order, so the gradients are bit for bit those of
+one thread on any host.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +87,7 @@ from .kg import KnowledgeGraph, PairIndex, tail_index
 INIT_SCALE = 0.1       # embeddings start uniform in [-INIT_SCALE, INIT_SCALE]
 SIGN_TILE = 128        # candidate columns materialized at once in the dense tiles
 SPLIT_MAX_ACTIVE = 0.2 # residual share of score cells above which the dense tiles run
+DENSE_PARTS = 2        # dense tiles per round, at most one thread each
 COUNT_BLOCK = 32       # dimensions counted at once in the row-constant part
 PAIR_CHUNK = 2048      # (vertex, relation) pairs aggregated at once in graph walks
 
@@ -232,11 +244,28 @@ def score_batch(state: ModelState, subjects, rels,
         raise ValueError("relation id out of range")
 
     Q, raw = query_scores(state, subjects, rels)
+    # Signs from comparisons read a NaN as a tie, so nothing non-finite
+    # may reach the backward.
+    bad = ~np.isfinite(raw)
+    if bad.any():
+        raise NumericError(f"non-finite score in batch row {bad.any(axis=1).argmax()}")
     P = expit(raw)
     S = None
     if cache_signs:
-        S = np.sign(Q[:, None, :] - state.M_v[None, :, :]).astype(np.int8)
+        S = _signs(Q[:, None, :], state.M_v[None, :, :])
     return ScoreSignals(subjects=subjects, rels=rels, Q=Q, raw=raw, P=P, S=S)
+
+
+def _signs(a: np.ndarray, b: np.ndarray, out=(None, None)) -> np.ndarray:
+    """sign(a - b) as int8, from two comparisons of the broadcast operands.
+
+    Equal to np.sign(a - b) wherever both are finite, ties and signed zeros
+    included: a finite difference is zero exactly when a == b.  A NaN gives
+    0, not NaN.  ``out`` may name two bool arrays of the broadcast shape for
+    the comparisons; the result is a view of the first.
+    """
+    gt = np.greater(a, b, out=out[0]).view(np.int8)
+    return np.subtract(gt, np.less(a, b, out=out[1]).view(np.int8), out=gt)
 
 
 def loss_and_delta(signals: ScoreSignals, targets, n_candidates: int,
@@ -360,10 +389,10 @@ def _sign_contraction(signals: ScoreSignals, M: np.ndarray, delta: np.ndarray,
     dense regime pays one partition and one comparison per row of delta.
 
     SPLIT_MAX_ACTIVE comes from timing both routes with B = 128, D = 256 and
-    random residual cells, float64, on a 2-core host: the split costs 0.06x
-    (V = 3635) and 0.08x (V = 10000) of the dense tiles with no residual,
-    0.40x and 0.60x at 20% residual, and breaks even above 50% (V = 3635)
-    and near 40% (V = 10000).
+    random residual cells, float64, on a 2-core host, against serial dense
+    tiles that took signs with np.sign: the split costs 0.06x (V = 3635) and
+    0.08x (V = 10000) of those tiles with no residual, 0.40x and 0.60x at 20%
+    residual, and breaks even above 50% (V = 3635) and near 40% (V = 10000).
     """
     V = delta.shape[1]
     # Row by row, so the choice holds no B x V temporary: one kept alive
@@ -377,22 +406,55 @@ def _sign_contraction(signals: ScoreSignals, M: np.ndarray, delta: np.ndarray,
 
 
 def _dense_contraction(signals, M, delta, T, dtype):
-    """Every cell's sign vector, SIGN_TILE candidate columns at a time."""
+    """Every cell's sign vector, one tile of at most SIGN_TILE columns at a time.
+
+    Tiles cut the candidate columns in chunks of T, then SIGN_TILE within a
+    chunk.  Each tile's signs come from two comparisons (:func:`_signs`), or
+    from the cached S, cast to ``dtype`` once.  Tiles run in rounds of
+    DENSE_PARTS on min(DENSE_PARTS, available cores) threads, or inline on
+    one core; numpy's comparisons, casts and einsum release the GIL.  A tile
+    writes only its own rows of gM and returns its gQ contribution, which is
+    subtracted in tile order.  Every sum thus keeps the terms and order of
+    one serial pass, and the result is bit for bit the same on any number of
+    cores.  (Splitting D across threads instead is not: a one-column block
+    changes einsum's inner loop from the dimensions to the summed axis.)
+    """
     B, V = delta.shape
-    gM = np.zeros((V, M.shape[1]), dtype=dtype)
-    gQ = np.zeros((B, M.shape[1]), dtype=dtype)
-    for c0 in range(0, V, T):
-        c1 = min(c0 + T, V)
-        for t0 in range(c0, c1, SIGN_TILE):
-            t1 = min(t0 + SIGN_TILE, c1)
-            if signals.S is not None:
-                sgn = signals.S[:, t0:t1, :].astype(dtype)
-            else:
-                sgn = np.sign(signals.Q[:, None, :] - M[None, t0:t1, :])
-            # d raw / d Q = -sgn;  d raw / d M[c] = sgn
-            gM[t0:t1] += np.einsum("jc,jck->ck", delta[:, t0:t1], sgn)
-            gQ -= np.einsum("jc,jck->jk", delta[:, t0:t1], sgn)
+    D = M.shape[1]
+    gM = np.zeros((V, D), dtype=dtype)
+    gQ = np.zeros((B, D), dtype=dtype)
+    tiles = [(t0, min(t0 + SIGN_TILE, c0 + T, V))
+             for c0 in range(0, V, T) for t0 in range(c0, min(c0 + T, V), SIGN_TILE)]
+    # Each slot of a round gets its tile buffers from this thread: large
+    # arrays a worker allocates stay in its malloc arena after it exits,
+    # which raised peak RSS by 24 MB at B = 128, D = 256.
+    size = B * min(SIGN_TILE, T, V) * D
+    slots = [(np.empty(size, dtype=bool), np.empty(size, dtype=bool),
+              np.empty(size, dtype=dtype)) for _ in range(DENSE_PARTS)]
+
+    def tile(bounds, slot):
+        t0, t1 = bounds
+        gt, lt, sgn = (buf[:B * (t1 - t0) * D].reshape(B, t1 - t0, D) for buf in slot)
+        np.copyto(sgn, signals.S[:, t0:t1, :] if signals.S is not None
+                  else _signs(signals.Q[:, None, :], M[None, t0:t1, :], out=(gt, lt)))
+        # d raw / d Q = -sgn;  d raw / d M[c] = sgn
+        gM[t0:t1] += np.einsum("jc,jck->ck", delta[:, t0:t1], sgn)
+        return np.einsum("jc,jck->jk", delta[:, t0:t1], sgn)
+
+    workers = min(DENSE_PARTS, _available_cores())
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        for r0 in range(0, len(tiles), DENSE_PARTS):
+            for contribution in run(tile, tiles[r0:r0 + DENSE_PARTS], slots):
+                gQ -= contribution
     return gM, gQ
+
+
+def _available_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _split_contraction(signals, M, delta, row_const, dtype):
@@ -405,10 +467,8 @@ def _split_contraction(signals, M, delta, row_const, dtype):
     step = B * SIGN_TILE
     for i0 in range(0, len(rows), step):
         j, c, r = rows[i0:i0 + step], cols[i0:i0 + step], resid[i0:i0 + step]
-        if signals.S is not None:
-            sgn = signals.S[j, c].astype(dtype)
-        else:
-            sgn = np.sign(signals.Q[j] - M[c])
+        sgn = (signals.S[j, c] if signals.S is not None
+               else _signs(signals.Q[j], M[c])).astype(dtype)
         cells = np.arange(len(j))
         gQ -= sp.csr_matrix((r, (j, cells)), shape=(B, len(j))) @ sgn
         touched, c_at = np.unique(c, return_inverse=True)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hdkg import rng
+from hdkg import model, rng
 from hdkg.kg import KnowledgeGraph
 from hdkg.model import ModelState, OptimizerConfig, TrainConfig, Trainer
 
@@ -91,6 +91,30 @@ def memorize_matrix_form(kg: KnowledgeGraph, H_v: np.ndarray,
         if A.nnz:
             M += (A @ H_v) * H_r[r]
     return M
+
+
+def serial_sign_tiles(signals, M, delta, T, dtype):
+    """Oracle for :func:`hdkg.model._dense_contraction`: one thread, np.sign tiles.
+
+    gM[c] = sum_j delta[j, c] sign(Q[j] - M[c]) and
+    gQ[j] = -sum_c delta[j, c] sign(Q[j] - M[c]), candidate columns in
+    chunks of T, model.SIGN_TILE at a time, each sign taken as np.sign of
+    the difference.
+    """
+    B, V = delta.shape
+    gM = np.zeros((V, M.shape[1]), dtype=dtype)
+    gQ = np.zeros((B, M.shape[1]), dtype=dtype)
+    for c0 in range(0, V, T):
+        c1 = min(c0 + T, V)
+        for t0 in range(c0, c1, model.SIGN_TILE):
+            t1 = min(t0 + model.SIGN_TILE, c1)
+            if signals.S is not None:
+                sgn = signals.S[:, t0:t1, :].astype(dtype)
+            else:
+                sgn = np.sign(signals.Q[:, None, :] - M[None, t0:t1, :])
+            gM[t0:t1] += np.einsum("jc,jck->ck", delta[:, t0:t1], sgn)
+            gQ -= np.einsum("jc,jck->jk", delta[:, t0:t1], sgn)
+    return gM, gQ
 
 
 def make_graph(n_entities, n_relations, n_edges, seed=0, skew=0.0,

@@ -228,6 +228,19 @@ class TestCliTrain:
         assert "lr must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "model.hdck").exists()
 
+    def test_overflowing_lr_stops_at_the_first_non_finite_score(self, dataset_dir,
+                                                                tmp_path, capsys):
+        # One step at lr 1e308 overflows the embeddings, so the refreshed
+        # memories are no longer finite; the next batch's scores are caught
+        # before the loss or any sign is taken.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("train", "--dataset", str(dataset_dir),
+                           "--out-dir", str(tmp_path), *TRAIN_ARGS[:6], "--seed", "3",
+                           "--batch-size", "1", "--lr", "1e308")
+        assert code == 4
+        assert "non-finite score in batch row 0" in capsys.readouterr().err
+        assert not (tmp_path / "model.hdck").exists()
+
     def test_identity_activation_is_exit_2(self, dataset_dir, tmp_path, capsys):
         assert run_cli("train", "--dataset", str(dataset_dir),
                        "--out-dir", str(tmp_path), "--activation", "identity") == 2

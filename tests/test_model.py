@@ -1,12 +1,13 @@
 """Model state, memorization, scoring, gradients, optimizer, and the trainer."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import (dict_tail_index, graph_from_triples, make_graph,
-                      memorize_matrix_form)
+                      memorize_matrix_form, serial_sign_tiles)
 from hdkg import model
 from hdkg.errors import ShapeError, StalenessError, NumericError
 from hdkg.hdc import BaseMatrix, encode
@@ -221,6 +222,44 @@ class TestScoreBatch:
         with pytest.raises(ValueError):
             score_batch(state, [0], [9])
 
+    def test_nan_memory_row_raises(self):
+        kg = tiny_graph()
+        state = fresh_state(kg)
+        state.M_v[1] = np.nan
+        with pytest.raises(NumericError, match="row 0"):
+            score_batch(state, [0, 2], [1, 0])
+
+    def test_infinite_relation_hypervector_raises(self):
+        kg = tiny_graph()
+        state = fresh_state(kg)
+        state.H_r[0, 3] = np.inf
+        with pytest.raises(NumericError, match="row 1"):
+            score_batch(state, [0, 2], [1, 0], cache_signs=True)
+
+
+class TestSigns:
+    """The comparison signs against np.sign of the difference."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_match_np_sign_on_a_tie_grid(self, dtype):
+        info = np.finfo(dtype)
+        grid = np.array([-info.max, -1.0, -0.5, -info.smallest_subnormal, -0.0,
+                         0.0, info.smallest_subnormal, 0.5, 1.0, info.max], dtype=dtype)
+        pairs = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+        Q = pairs[::3]
+        M = np.concatenate([pairs, Q[:4], -Q[:4]])      # equal rows, and ±0.0 swapped
+        got = model._signs(Q[:, None, :], M[None, :, :])
+        with np.errstate(over="ignore"):
+            want = np.sign(Q[:, None, :] - M[None, :, :])
+        assert got.dtype == np.int8
+        np.testing.assert_array_equal(got, want)
+        assert (got == 0).all(axis=2).any()              # whole-row ties
+        assert (want == 0).sum() > want.size // 20       # and many single ones
+
+    def test_nan_reads_as_a_tie(self):
+        got = model._signs(np.array([np.nan, 1.0]), np.array([0.0, np.nan]))
+        assert got.tolist() == [0, 0]
+
 
 class TestLoss:
     def test_uniform_scores_give_log2(self):
@@ -427,8 +466,8 @@ def record_routes(monkeypatch):
     return ran
 
 
-def split_case(regime):
-    """A batch whose delta has the named shape.
+def split_case(regime, D=None, dtype=np.float64):
+    """A batch whose delta has the named shape, D = 16 (128 when partial) by default.
 
     floor    every score underflows, so each row's off-positive cells sit at
              the label-smoothing floor and only the positives are residual
@@ -441,8 +480,8 @@ def split_case(regime):
     kg = make_graph(30, 3, 90, seed=4)
     index = tail_index(kg.train)
     subjects, rels = kg.train[:8, 0].copy(), kg.train[:8, 1].copy()
-    D = 128 if regime == "partial" else 16
-    state = fresh_state(kg, d=6, D=D, seed=4)
+    D = D or (128 if regime == "partial" else 16)
+    state = fresh_state(kg, d=6, D=D, seed=4, dtype=dtype)
     if regime == "floor":
         state.bias = -1e3
     elif regime == "partial":
@@ -569,6 +608,82 @@ class TestSplitContraction:
         for a, b in ((got[0].e_v, want[0].e_v), (got[1]["gM_candidates"],
                                                  want[1]["gM_candidates"])):
             assert np.abs(a - b).max() <= 1e-5 * np.abs(b).max()
+
+
+def dense_outputs(state, kg, sig, delta, T, mode):
+    """e_v, e_r, gM_candidates and gQ of one backward pass, in that order."""
+    grads, info = chunked_backward(state, kg, sig, delta, T=T, mode=mode,
+                                   return_internals=True)
+    return grads.e_v, grads.e_r, info["gM_candidates"], info["gQ"]
+
+
+class TestDenseTiles:
+    """The threaded comparison-sign tiles against the serial np.sign tiles.
+
+    Both only change how signs are made and which thread runs a tile, so
+    the gradients must be equal bit for bit, not within a tolerance.
+    SPLIT_MAX_ACTIVE below zero makes every call take the dense tiles;
+    a SIGN_TILE of 4 gives several tiles, and rounds, per chunk.
+    """
+
+    @pytest.mark.parametrize("sign_tile", [4, 128])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("regime,D", [("dense", 16), ("dense", 33), ("dense", 1),
+                                          ("ties", 16)])
+    def test_equal_to_serial_np_sign_tiles(self, monkeypatch, regime, D, dtype,
+                                           sign_tile):
+        kg, state, subjects, rels, targets = split_case(regime, D=D, dtype=dtype)
+        monkeypatch.setattr(model, "SPLIT_MAX_ACTIVE", -1.0)
+        monkeypatch.setattr(model, "SIGN_TILE", sign_tile)
+        for cache in (False, True):
+            sig = score_batch(state, subjects, rels, cache_signs=cache)
+            _, delta = loss_and_delta(sig, targets, kg.n_entities)
+            for mode in BACKWARD_MODES:
+                for T in (1, 7, 32, kg.n_entities):
+                    got = dense_outputs(state, kg, sig, delta, T, mode)
+                    with monkeypatch.context() as m:
+                        m.setattr(model, "_dense_contraction", serial_sign_tiles)
+                        want = dense_outputs(state, kg, sig, delta, T, mode)
+                    for name, a, b in zip(("e_v", "e_r", "gM", "gQ"), got, want):
+                        assert a.dtype == b.dtype == dtype, name
+                        np.testing.assert_array_equal(a, b, err_msg=name)
+
+    def test_bytes_do_not_depend_on_the_core_count(self, monkeypatch):
+        kg, state, subjects, rels, targets = split_case("dense")
+        monkeypatch.setattr(model, "SPLIT_MAX_ACTIVE", -1.0)
+        monkeypatch.setattr(model, "SIGN_TILE", 4)
+        sig = score_batch(state, subjects, rels)
+        _, delta = loss_and_delta(sig, targets, kg.n_entities)
+
+        tile_threads, started = set(), []
+        signs, start = model._signs, threading.Thread.start
+
+        def spy_signs(*args, **kwargs):
+            tile_threads.add(threading.get_ident())
+            return signs(*args, **kwargs)
+
+        def spy_start(thread):
+            started.append(thread)
+            return start(thread)
+
+        monkeypatch.setattr(model, "_signs", spy_signs)
+        monkeypatch.setattr(threading.Thread, "start", spy_start)
+        for mode in BACKWARD_MODES:
+            want = [a.tobytes() for a in dense_outputs(state, kg, sig, delta, 7, mode)]
+            for cores in (1, model.DENSE_PARTS, 64):
+                monkeypatch.setattr(model, "_available_cores", lambda: cores)
+                tile_threads.clear()
+                started.clear()
+                got = [a.tobytes() for a in dense_outputs(state, kg, sig, delta, 7, mode)]
+                assert got == want, (mode, cores)
+                workers = min(model.DENSE_PARTS, cores)
+                assert len(started) <= model.DENSE_PARTS
+                if workers == 1:
+                    assert not started
+                    assert tile_threads == {threading.get_ident()}
+                else:
+                    assert 1 <= len(tile_threads) <= workers
+                    assert threading.get_ident() not in tile_threads
 
 
 class TestOptimizer:
