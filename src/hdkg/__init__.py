@@ -15,7 +15,7 @@ from .config import RunConfig, build_config, config_hash
 from .errors import (CheckpointFormatError, ConfigError, DatasetFormatError,
                      HdkgError, NumericError, ShapeError, StalenessError,
                      TripleParseError, UndefinedSimilarityError)
-from .hdc import BaseMatrix, bind, bundle, encode, similarity
+from .hdc import BaseMatrix, encode, similarity
 from .kg import (KnowledgeGraph, add_reciprocal, dataset_stats, load_cache,
                  load_dataset, save_cache, tail_index)
 from .model import (Gradients, ModelState, OptimizerConfig, Optimizer,
@@ -36,7 +36,7 @@ __all__ = [
     "OptimizerConfig", "RunConfig", "STREAMS", "ScoreSignals", "ScoringView",
     "ShapeError", "StalenessError", "TrainConfig", "Trainer",
     "TripleParseError", "UndefinedSimilarityError", "add_reciprocal",
-    "backward", "bind", "build_config", "bundle", "chunked_backward",
+    "backward", "build_config", "chunked_backward",
     "config_hash", "dataset_stats", "dimension_entropy", "drop_dims", "encode",
     "load_cache", "load_checkpoint", "load_dataset", "loss_and_delta",
     "memorize_edge_list", "metrics", "quantize_fixed", "quantized_view",

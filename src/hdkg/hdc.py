@@ -1,4 +1,4 @@
-"""Hypervector primitives: kernel encoding, binding, bundling, similarity.
+"""Hypervector primitives: kernel encoding and similarity.
 
 Low-dimensional embeddings (rows of length d) are lifted into D-dimensional
 hypervectors through a fixed random projection followed by tanh:
@@ -8,9 +8,9 @@ hypervectors through a fixed random projection followed by tanh:
 where B is a d x D matrix of i.i.d. standard normal entries drawn once from
 the ``base-matrix`` stream and never trained.  This is the one encoder form:
 training, evaluation and the quantized studies all call :func:`encode`.
-Bundling is elementwise addition, binding is elementwise (Hadamard)
-multiplication.  Hypervector matrices are plain float arrays of shape
-(rows, D).
+Binding (Hadamard product) and bundling (row sums) happen inside memorization,
+in :func:`hdkg.model.aggregate_bind`.  Hypervector matrices are plain float
+arrays of shape (rows, D).
 """
 
 from __future__ import annotations
@@ -53,22 +53,6 @@ def encode(embeddings: np.ndarray, base: BaseMatrix) -> np.ndarray:
     return np.tanh(embeddings @ base.data.astype(embeddings.dtype, copy=False))
 
 
-def bind(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise (Hadamard) product of hypervectors."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"bind operands disagree: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def bundle(vectors: np.ndarray) -> np.ndarray:
-    """Elementwise sum of hypervector rows; the empty bundle is the zero vector."""
-    vectors = np.asarray(vectors)
-    if vectors.ndim != 2:
-        raise ShapeError(f"bundle expects (rows, D), got {vectors.shape}")
-    return vectors.sum(axis=0)
-
-
 def similarity(a: np.ndarray, b: np.ndarray, metric: str = "cosine"):
     """Similarity between hypervectors; higher means more alike.
 
@@ -78,6 +62,9 @@ def similarity(a: np.ndarray, b: np.ndarray, metric: str = "cosine"):
       cosine        a.b / (|a||b|); undefined on zero vectors.
       neg_l1        -sum |a - b|.
       sign_hamming  fraction of dimensions with equal sign.
+
+    One pair of vectors gives a float; otherwise one score per row, which is
+    an empty array when there are no rows.
     """
     a, b = np.atleast_2d(np.asarray(a)), np.atleast_2d(np.asarray(b))
     if a.shape[-1] != b.shape[-1]:
@@ -94,4 +81,4 @@ def similarity(a: np.ndarray, b: np.ndarray, metric: str = "cosine"):
         out = (np.sign(a) == np.sign(b)).mean(axis=-1)
     else:
         raise ValueError(f"unknown metric {metric!r}; choose from {SIMILARITY_METRICS}")
-    return out if out.size > 1 else float(out.reshape(-1)[0])
+    return out if out.size != 1 else out.item()

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import operator
 import os
+import re
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -43,6 +44,9 @@ CACHE_HEADER = "<IIQQQQQ"   # version, augmented, |V|, |R|, train, valid, test c
 NAME_LENGTH = struct.Struct("<I")
 
 RECIPROCAL_SUFFIX = "_reverse"
+# Bytes that are not UTF-8 decode to these lone surrogates under
+# errors="surrogateescape"; valid UTF-8 never yields them.
+UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,8 +252,10 @@ class KnowledgeGraph:
 def _parse_split(path: Path, entity_index: dict, relation_index: dict,
                  entities: list, relations: list) -> np.ndarray:
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii() and UNDECODABLE.search(line):
+                raise TripleParseError(path, lineno, "not valid UTF-8")
             line = line.rstrip("\n").rstrip("\r")
             parts = line.split("\t")
             if len(parts) != 3:

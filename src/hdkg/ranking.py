@@ -22,6 +22,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .errors import ShapeError, StalenessError
+from .hdc import similarity
 from .kg import PairIndex
 from .model import ModelState, query_scores
 
@@ -95,9 +96,10 @@ def reconstruct_neighbors(state: ModelState, vertex: int, relation: int | None =
 
     With a relation given, candidates are the bound pairs H_v[j] * H_r[r],
     which undoes the binding applied during memorization; without one, bare
-    H_v[j].  Returns (candidate ids best-first, similarity scores).  Isolated
-    vertices have a zero memory row, where cosine is undefined; those fall
-    back to the neg_l1 metric.
+    H_v[j].  Scores come from :func:`hdkg.hdc.similarity`.  Returns
+    (candidate ids best-first, similarity scores).  Isolated vertices have a
+    zero memory row, where cosine is undefined; those fall back to the neg_l1
+    metric.  Under cosine, a candidate with a zero hypervector scores -inf.
     """
     if not state.mv_fresh:
         raise StalenessError("state must be refreshed before reconstruction")
@@ -105,16 +107,10 @@ def reconstruct_neighbors(state: ModelState, vertex: int, relation: int | None =
     candidates = state.H_v if relation is None else state.H_v * state.H_r[relation]
     if metric == "cosine" and not np.any(m):
         metric = "neg_l1"
-    if metric == "cosine":
-        cnorm = np.linalg.norm(candidates, axis=1)
-        sims = candidates @ m / np.linalg.norm(m)
-        sims = np.where(cnorm > 0, sims / np.where(cnorm > 0, cnorm, 1.0), -np.inf)
-    elif metric == "neg_l1":
-        sims = -np.abs(candidates - m).sum(axis=1)
-    elif metric == "sign_hamming":
-        sims = (np.sign(candidates) == np.sign(m)).mean(axis=1)
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
+    live = (np.linalg.norm(candidates, axis=1) > 0 if metric == "cosine"
+            else slice(None))
+    sims = np.full(len(candidates), -np.inf)
+    sims[live] = similarity(candidates[live], m, metric)
     order = np.argsort(-sims, kind="stable")
     return order, sims[order]
 

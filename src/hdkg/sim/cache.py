@@ -7,6 +7,10 @@ least-recent touch and then by lowest vertex id.  Its heap is built when the
 cache first fills, keeps stale entries until they surface, and is rebuilt
 from the current entries once it outgrows LFU_HEAP_SLACK times the capacity.
 Random eviction draws from the ``random-policy`` stream.
+
+:meth:`Cache.access` answers hit or miss, and the cache counts only its
+evictions.  Hit and miss totals are the caller's: the replay keeps them in
+:class:`hdkg.sim.cost.ReplayStats`.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ class Cache:
             raise ValueError(f"policy must be one of {CACHE_POLICIES}")
         self.capacity = capacity
         self.policy = policy
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
         self._clock = 0
         self._lru: OrderedDict[int, None] = OrderedDict()
@@ -47,9 +49,6 @@ class Cache:
             return set(self._meta)
         return set(self._slots)
 
-    def __len__(self) -> int:
-        return len(self.resident)
-
     def access(self, vid: int) -> bool:
         """Touch one vertex; returns True on hit.  Misses insert (evicting if full)."""
         if self.policy == "lru":
@@ -61,9 +60,7 @@ class Cache:
     def _access_lru(self, vid):
         if vid in self._lru:
             self._lru.move_to_end(vid)
-            self.hits += 1
             return True
-        self.misses += 1
         if self.capacity == 0:
             return False
         if len(self._lru) >= self.capacity:
@@ -76,10 +73,8 @@ class Cache:
         self._clock += 1
         current = self._meta.get(vid)
         if current is not None:
-            self.hits += 1
             entry = (current[0] + 1, self._clock, vid)
         else:
-            self.misses += 1
             if self.capacity == 0:
                 return False
             if len(self._meta) >= self.capacity:
@@ -106,9 +101,7 @@ class Cache:
 
     def _access_random(self, vid):
         if vid in self._pos:
-            self.hits += 1
             return True
-        self.misses += 1
         if self.capacity == 0:
             return False
         if len(self._slots) >= self.capacity:
@@ -123,8 +116,3 @@ class Cache:
         self._pos[vid] = len(self._slots)
         self._slots.append(vid)
         return False
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -115,14 +115,16 @@ class ReplayStats:
 
 def replay_schedule(batches, neighbors_of, cache: Cache, registry: Registry,
                     d: int, D: int, cfg: CostConfig) -> ReplayStats:
-    """Walk one epoch's schedule, driving the cache and the registry."""
+    """Walk one epoch's schedule, driving the cache and the registry.
+
+    Encode flags and batch degrees are the schedule's, fixed when it was built.
+    """
     stats = ReplayStats()
     evictions_before = cache.evictions
     hv_bytes = D * cfg.elem_bytes
     for batch in batches:
-        max_deg = 0
-        for vid in batch.members:
-            if vid not in registry:
+        for vid, needs_encode in zip(batch.members, batch.encode, strict=True):
+            if needs_encode:
                 stats.encodes += 1
                 stats.host_payload_bytes += d * cfg.elem_bytes
                 stats.encode_write_bytes += hv_bytes
@@ -130,7 +132,6 @@ def replay_schedule(batches, neighbors_of, cache: Cache, registry: Registry,
             else:
                 stats.host_payload_bytes += cfg.addr_bytes
             tails, _rels = neighbors_of(vid)
-            max_deg = max(max_deg, len(tails))
             stats.host_payload_bytes += len(tails) * cfg.ctrl_bytes_per_edge
             for j in tails:
                 if cache.access(int(j)):
@@ -138,7 +139,7 @@ def replay_schedule(batches, neighbors_of, cache: Cache, registry: Registry,
                 else:
                     stats.misses += 1
                     stats.fetch_bytes += hv_bytes
-        stats.mem_cycles += -(-max_deg * D // cfg.mem_lanes_per_engine)
+        stats.mem_cycles += -(-batch.degree * D // cfg.mem_lanes_per_engine)
     stats.evictions = cache.evictions - evictions_before
     return stats
 

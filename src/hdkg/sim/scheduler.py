@@ -14,7 +14,7 @@ allocator when the device stores its freshly encoded hypervector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +47,8 @@ class ScheduleBatch:
 
     members: list[int]
     degree: int                      # max member degree
-    tail: bool = False
-    encode: list[bool] = field(default_factory=list)  # per member, at issue time
+    tail: bool
+    encode: list[bool]               # per member, at issue time
 
 
 def schedule_epoch(degrees: np.ndarray, n_engines: int,
@@ -89,14 +89,3 @@ def schedule_epoch(degrees: np.ndarray, n_engines: int,
                 flush()
     flush()
     return batches
-
-
-def describe_payload(batch: ScheduleBatch, registry: Registry) -> list[tuple]:
-    """Per-member transfer descriptor: embedding row or device address."""
-    out = []
-    for vid, needs_encode in zip(batch.members, batch.encode):
-        if needs_encode:
-            out.append(("embed", vid))
-        else:
-            out.append(("addr", registry.addresses[vid]))
-    return out

@@ -187,6 +187,13 @@ class TestCliIngest:
                        "--out-dir", str(tmp_path)) == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_triples_not_utf8_are_exit_3(self, dataset_dir, tmp_path, capsys):
+        (dataset_dir / "test.txt").write_bytes(TEST.encode() + b"\xff\xfe\n")
+        assert run_cli("ingest", "--dataset", str(dataset_dir),
+                       "--out-dir", str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "test.txt:2: not valid UTF-8" in err
+
     @pytest.mark.parametrize("corrupt", [
         lambda blob: blob.replace(b"\x01\x00\x00\x00a", b"\x01\x00\x00\x00\xff"),
         lambda blob: blob + b"\x00",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hdkg.errors import ShapeError, UndefinedSimilarityError
-from hdkg.hdc import BaseMatrix, bind, bundle, encode, similarity
+from hdkg.hdc import BaseMatrix, encode, similarity
 
 # Frozen reference values, computed once from the published stream layout
 # (SeedSequence(seed, spawn_key=(0,)) -> PCG64 -> standard_normal) with plain
@@ -65,37 +65,6 @@ class TestEncode:
             encode(np.zeros((2, 4)), base)
 
 
-class TestBindBundle:
-    def test_bind_is_hadamard(self):
-        a = np.array([1.0, -2.0, 3.0])
-        b = np.array([4.0, 0.5, -1.0])
-        np.testing.assert_array_equal(bind(a, b), [4.0, -1.0, -3.0])
-
-    def test_bind_commutes(self):
-        gen = np.random.default_rng(3)
-        a, b = gen.normal(size=(2, 64))
-        np.testing.assert_array_equal(bind(a, b), bind(b, a))
-
-    def test_bind_ones_is_identity(self):
-        a = np.random.default_rng(1).normal(size=32)
-        np.testing.assert_array_equal(bind(a, np.ones(32)), a)
-
-    def test_bind_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            bind(np.zeros(3), np.zeros(4))
-
-    def test_bundle_is_columnwise_sum(self):
-        rows = np.array([[1.0, 2.0], [3.0, 4.0], [-1.0, 0.0]])
-        np.testing.assert_array_equal(bundle(rows), [3.0, 6.0])
-
-    def test_bundle_empty_is_zero(self):
-        np.testing.assert_array_equal(bundle(np.empty((0, 5))), np.zeros(5))
-
-    def test_bundle_rejects_vector(self):
-        with pytest.raises(ShapeError):
-            bundle(np.zeros(5))
-
-
 class TestSimilarity:
     def test_cosine_self_is_one(self):
         a = np.array([1.0, 2.0, -3.0])
@@ -123,6 +92,11 @@ class TestSimilarity:
         b = np.array([1.0, 0.0])
         out = similarity(A, b)
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("metric", ["cosine", "neg_l1", "sign_hamming"])
+    def test_zero_rows_give_empty_scores(self, metric):
+        out = similarity(np.empty((0, 3)), np.ones(3), metric)
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError, match="metric"):

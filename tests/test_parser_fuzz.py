@@ -1,11 +1,13 @@
 """Parsers meet arbitrary bytes: each may fail only with an HdkgError subclass.
 
-Covers the dataset cache, the checkpoint and the config file.  Inputs are
-arbitrary bytes, arbitrary bytes behind a valid magic and version (to get
-past the first check), and valid files with one byte changed, truncated or
-extended.  Header counts that exceed the file are caught before any read,
-so no example asks for more memory than the file holds (the checkpoint's
-regenerated base matrix is capped at MAX_BASE_CELLS).
+Covers the text triple files, the dataset cache, the checkpoint and the config
+file.  Inputs are arbitrary bytes, arbitrary bytes behind a valid prefix (a
+magic and version, or the start of a config or triple line, to get past the
+first check), and valid files with one byte changed, truncated or extended.
+Each of the three triple split files gets its own draw.  Header counts that
+exceed the file are caught before any read, so no example asks for more
+memory than the file holds (the checkpoint's regenerated base matrix is
+capped at MAX_BASE_CELLS).
 """
 
 import struct
@@ -18,7 +20,8 @@ from conftest import graph_from_triples
 from hdkg.checkpoint import load_checkpoint, save_checkpoint
 from hdkg.config import build_config
 from hdkg.errors import HdkgError
-from hdkg.kg import CACHE_MAGIC, CACHE_VERSION, save_cache, load_cache
+from hdkg.kg import (CACHE_MAGIC, CACHE_VERSION, SPLIT_FILES, load_cache,
+                     load_dataset, save_cache)
 from hdkg.model import ModelState
 from hdkg import checkpoint
 
@@ -90,3 +93,18 @@ VALID_CONFIG = b"d = 8\nD = 32\nmode = hardware\nlr = 0.5  # comment\nsweep_capa
 def test_config_file(tmp_path, data):
     blob = data.draw(_variants(VALID_CONFIG, b"d = "))
     _fails_cleanly(lambda path: build_config(config_path=path), tmp_path / "fuzz.cfg", blob)
+
+
+# Multi-byte UTF-8 names, so edits and truncations can split a character.
+VALID_TRIPLES = "a\tr\t\u00e9\n\u00e9\ts\tb\nb\tr\ta\n".encode("utf-8")
+
+
+@FUZZ
+@given(data=st.data())
+def test_load_dataset(tmp_path, data):
+    for name in SPLIT_FILES:
+        (tmp_path / name).write_bytes(data.draw(_variants(VALID_TRIPLES, b"a\tr\t")))
+    try:
+        load_dataset(tmp_path)
+    except HdkgError:
+        pass

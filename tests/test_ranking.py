@@ -159,6 +159,17 @@ class TestReconstruct:
         assert len(order) == 3
         assert np.all(np.isfinite(sims))
 
+    @pytest.mark.parametrize("zeroed", [[2], [0, 2]], ids=["one-zero", "one-live"])
+    def test_zero_candidate_ranks_last_under_cosine(self, zeroed):
+        kg = graph_from_triples([(0, 0, 1)], 3, 1)
+        state = ModelState.create(3, 1, d=4, D=16, seed=2)
+        state.e_v[zeroed] = 0.0
+        order, sims = reconstruct_neighbors(state.refresh(kg), 0)
+        n = len(zeroed)
+        assert sorted(order[-n:].tolist()) == zeroed
+        assert np.all(sims[-n:] == -np.inf)
+        assert np.all(np.isfinite(sims[:-n]))
+
     def test_stale_state_rejected(self):
         kg = graph_from_triples([(0, 0, 1)], 2, 1)
         state = ModelState.create(2, 1, d=2, D=8, seed=0).refresh(kg)

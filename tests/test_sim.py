@@ -17,7 +17,7 @@ from hdkg.sim.cost import (
     sweep_capacities,
     write_sweep_csv,
 )
-from hdkg.sim.scheduler import Registry, ScheduleBatch, describe_payload, schedule_epoch
+from hdkg.sim.scheduler import Registry, ScheduleBatch, schedule_epoch
 
 
 class TestRegistry:
@@ -71,12 +71,6 @@ class TestScheduler:
         assert batches[0].members == [0, 1]
         assert batches[0].encode == [False, True]
 
-    def test_describe_payload(self):
-        reg = Registry()
-        reg.allocate(4)
-        batch = ScheduleBatch(members=[4, 9], degree=1, encode=[False, True])
-        assert describe_payload(batch, reg) == [("addr", 0), ("embed", 9)]
-
     def test_rejects_zero_engines(self):
         with pytest.raises(ValueError):
             schedule_epoch(np.array([1]), 0, Registry())
@@ -87,7 +81,7 @@ class TestCache:
         cache = Cache(2, "lru")
         outcomes = [cache.access(v) for v in (1, 2, 1, 3, 2, 3)]
         assert outcomes == [False, False, True, False, False, True]
-        assert cache.hits == 2 and cache.misses == 4 and cache.evictions == 2
+        assert cache.evictions == 2
         assert cache.resident == {2, 3}
 
     def test_lfu_evicts_least_frequent(self):
@@ -107,9 +101,8 @@ class TestCache:
         def run(seed):
             cache = Cache(4, "random", seed=seed)
             gen = np.random.default_rng(0)
-            for v in gen.integers(0, 20, 300):
-                cache.access(int(v))
-            return cache.resident, cache.hits
+            hits = sum(cache.access(int(v)) for v in gen.integers(0, 20, 300))
+            return cache.resident, hits
         assert run(1) == run(1)
         assert run(1) != run(2)
 
@@ -117,15 +110,15 @@ class TestCache:
         cache = Cache(0, "lru")
         assert not cache.access(1)
         assert not cache.access(1)
-        assert cache.misses == 2 and cache.evictions == 0
-        assert len(cache) == 0
+        assert cache.evictions == 0
+        assert cache.resident == set()
 
     def test_hit_rate(self):
+        # Callers count access() results; ReplayStats holds the totals.
         cache = Cache(2, "lru")
-        assert cache.hit_rate == 0.0
-        cache.access(1)
-        cache.access(1)
-        assert cache.hit_rate == 0.5
+        hits = sum(cache.access(v) for v in (1, 1, 2, 1))
+        assert ReplayStats(hits=hits, misses=4 - hits).hit_rate == 0.5
+        assert ReplayStats().hit_rate == 0.0
 
     def test_capacity_never_exceeded(self):
         for policy in ("lru", "lfu", "random"):
@@ -133,22 +126,20 @@ class TestCache:
             gen = np.random.default_rng(5)
             for v in gen.integers(0, 50, 500):
                 cache.access(int(v))
-            assert len(cache) <= 3
+            assert len(cache.resident) <= 3
 
     def test_lfu_matches_linear_scan_oracle_with_bounded_heap(self):
         # Oracle: evict the minimum (freq, last touch, vid) by a full scan.
         capacity = 8
         cache = Cache(capacity, "lfu")
-        meta, hits, misses, evictions = {}, 0, 0, 0
+        meta, evictions = {}, 0
         gen = np.random.default_rng(3)
         stream = gen.zipf(1.3, 20000) % 60
         for clock, v in enumerate(stream.tolist(), start=1):
             if v in meta:
                 meta[v] = (meta[v][0] + 1, clock)
-                hits += 1
                 expected_hit = True
             else:
-                misses += 1
                 if len(meta) >= capacity:
                     victim = min(meta, key=lambda u: (*meta[u], u))
                     del meta[victim]
@@ -158,7 +149,7 @@ class TestCache:
             assert cache.access(v) == expected_hit
             assert cache.resident == set(meta)
             assert len(cache._heap) <= LFU_HEAP_SLACK * capacity
-        assert (cache.hits, cache.misses, cache.evictions) == (hits, misses, evictions)
+        assert cache.evictions == evictions
         assert evictions > 1000
 
     def test_invalid_arguments(self):
@@ -238,6 +229,19 @@ class TestReplay:
         # doubling D doubles the element stream per engine
         assert run(2, 512).mem_cycles == 320
 
+    def test_encode_flags_come_from_the_schedule(self):
+        cfg = PRESETS["u50"]
+
+        def run(encode):
+            batch = ScheduleBatch(members=[0, 1], degree=0, tail=True, encode=encode)
+            return replay_schedule([batch], lambda v: ([], None), Cache(0, "lru"),
+                                   Registry(), d=96, D=256, cfg=cfg)
+
+        stats = run([False, True])
+        assert stats.encodes == 1
+        assert stats.host_payload_bytes == 96 * cfg.elem_bytes + cfg.addr_bytes
+        with pytest.raises(ValueError):
+            run([True])
 
     def test_evictions_are_the_cache_delta(self):
         degrees, neighbors_of = tiny_workload()
