@@ -28,7 +28,8 @@ Layout (all little-endian), version 1:
 The base matrix is not stored; it regenerates deterministically from the
 seed, d and D.  Arrays are always stored as f64 regardless of the compute
 dtype, which keeps the format stable and the round-trip exact for both
-supported dtypes.
+supported dtypes.  A bias or parameter array holding a NaN or an infinity,
+in the compute dtype, is rejected on load.
 """
 
 from __future__ import annotations
@@ -144,8 +145,13 @@ def load_checkpoint(path) -> tuple[ModelState, dict]:
         ev_bytes = fh.read(ev_size)
         er_bytes = fh.read(er_size)
     dtype = np.float32 if flags & FLAG_FLOAT32 else np.float64
-    e_v = np.frombuffer(ev_bytes, dtype="<f8").reshape(n_ent, d).astype(dtype)
-    e_r = np.frombuffer(er_bytes, dtype="<f8").reshape(n_rel, d).astype(dtype)
+    with np.errstate(over="ignore"):   # a value past float32's range reads as inf
+        e_v = np.frombuffer(ev_bytes, dtype="<f8").reshape(n_ent, d).astype(dtype)
+        e_r = np.frombuffer(er_bytes, dtype="<f8").reshape(n_rel, d).astype(dtype)
+    # Scoring cannot tell a NaN from a tie, so no non-finite parameter loads.
+    for name, value in (("bias", bias), ("e_v", e_v), ("e_r", e_r)):
+        if not np.isfinite(value).all():
+            raise CheckpointFormatError(f"{path}: non-finite value in {name}")
     state = ModelState(
         base=BaseMatrix.create(d, D, seed), e_v=e_v, e_r=e_r, bias=bias)
     meta = {

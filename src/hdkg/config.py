@@ -79,7 +79,6 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_BOOL_FIELDS = {f.name for f in fields(RunConfig) if isinstance(f.default, bool)}
 
 
 def _coerce(key: str, value):

@@ -167,9 +167,10 @@ class KnowledgeGraph:
         augmented: True once reciprocal triples have been added.
 
     Derived from the train split on first use: the head-sorted neighbor
-    lists ``nbr_indptr``, ``nbr_tails`` and ``nbr_rels``, and the pair
-    indexes ``head_pairs`` (train triples grouped by (head, relation), tail
-    members) and ``tail_pairs`` (by (tail, relation), head members).
+    lists (``nbr_indptr``, ``nbr_rels`` and :meth:`neighbors` read them),
+    and the pair indexes ``head_pairs`` (train triples grouped by (head,
+    relation), tail members) and ``tail_pairs`` (by (tail, relation), head
+    members).
     """
 
     entities: list[str]
@@ -218,10 +219,6 @@ class KnowledgeGraph:
     @property
     def nbr_indptr(self) -> np.ndarray:
         return self._neighbor_lists[0]
-
-    @property
-    def nbr_tails(self) -> np.ndarray:
-        return self._neighbor_lists[1]
 
     @property
     def nbr_rels(self) -> np.ndarray:

@@ -32,9 +32,10 @@ Training updates only e_v, e_r and the bias.  Two backward modes exist:
              finite-difference checks.
   hardware   the accelerator's simplification: the encoder is differentiated
              as if linear (just the transposed base matrix), the memory-to-
-             hypervector step uses the cached per-vertex relation sum G, and
-             the relation gradient reuses the subject-side gradient, skipping
-             the memorization path.
+             hypervector step multiplies by the per-vertex relation sum G
+             (:func:`relation_sums`, built by this branch alone), and the
+             relation gradient reuses the subject-side gradient, skipping the
+             memorization path.
 
 Both modes start from the same sign contraction: with delta = d loss / d raw,
 and d raw / d Q = -sign(Q - M[c]) since raw falls with the distance,
@@ -96,7 +97,7 @@ BACKWARD_MODES = ("reference", "hardware")
 
 @dataclass
 class ModelState:
-    """Trainable parameters plus derived tensors and their freshness flag."""
+    """Trainable parameters plus the hypervectors and memory derived from them."""
 
     base: BaseMatrix
     e_v: np.ndarray
@@ -106,7 +107,6 @@ class ModelState:
     H_v: np.ndarray | None = field(default=None, repr=False)
     H_r: np.ndarray | None = field(default=None, repr=False)
     M_v: np.ndarray | None = field(default=None, repr=False)
-    G: np.ndarray | None = field(default=None, repr=False)
     mv_fresh: bool = False
 
     @classmethod
@@ -135,31 +135,39 @@ class ModelState:
         self.mv_fresh = False
 
     def refresh(self, kg: KnowledgeGraph):
-        """Re-encode hypervectors and re-memorize the graph after updates."""
+        """Rebuild H_v, H_r and M_v after updates (the hardware backward builds its own G)."""
         self.H_v = encode(self.e_v, self.base)
         self.H_r = encode(self.e_r, self.base)
-        self.M_v, self.G = memorize_edge_list(kg, self.H_v, self.H_r)
+        self.M_v = memorize_edge_list(kg, self.H_v, self.H_r)
         self.mv_fresh = True
         return self
 
 
 def memorize_edge_list(kg: KnowledgeGraph, H_v: np.ndarray,
-                       H_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vertex memory M and relation-sum G over the train adjacency.
+                       H_r: np.ndarray) -> np.ndarray:
+    """Per-vertex memory M over the train adjacency.
 
     M[i] sums H_v[j] * H_r[r] over i's out-edges (j, r), aggregated per
-    (head, relation) pair by :func:`aggregate_bind`.  G[i] sums the bare
-    relation rows H_r[r] in adjacency order, as one product with the unit
-    (V, R) incidence of the neighbor lists (duplicates kept, not summed), so
-    a recomputation from the same inputs reproduces it exactly.
+    (head, relation) pair by :func:`aggregate_bind`.
     """
     _check_hv(kg, H_v, H_r)
     M = np.zeros((kg.n_entities, H_v.shape[1]), dtype=H_v.dtype)
     aggregate_bind(kg.head_pairs, H_v, H_r, M)
+    return M
+
+
+def relation_sums(kg: KnowledgeGraph, H_r: np.ndarray) -> np.ndarray:
+    """Per-vertex relation sum G[i] = sum of H_r[r] over i's out-edges (j, r).
+
+    Only the hardware backward reads it.  One product with the unit (V, R)
+    incidence of the neighbor lists, built in H_r's dtype (duplicates kept,
+    not summed), so each row sums its relation rows in adjacency order and
+    a recomputation from the same inputs reproduces it exactly.
+    """
     incidence = sp.csr_matrix(
         (np.ones(len(kg.nbr_rels), dtype=H_r.dtype), kg.nbr_rels, kg.nbr_indptr),
         shape=(kg.n_entities, kg.n_relations))
-    return M, incidence @ H_r
+    return incidence @ H_r
 
 
 def aggregate_bind(pairs: PairIndex, X: np.ndarray, H_r: np.ndarray, out: np.ndarray,
@@ -226,7 +234,7 @@ def query_scores(view, subjects, rels) -> tuple[np.ndarray, np.ndarray]:
     """
     Q = view.M_v[subjects] + view.H_r[rels]
     norms = cdist(Q, view.M_v, metric="cityblock").astype(view.M_v.dtype, copy=False)
-    return Q, view.bias - norms
+    return Q, np.subtract(view.bias, norms, out=norms)
 
 
 def score_batch(state: ModelState, subjects, rels,
@@ -277,27 +285,38 @@ def loss_and_delta(signals: ScoreSignals, targets, n_candidates: int,
     y * (1 - eps) + eps / n_candidates.  The returned delta is
     (P - y) / (batch * candidates), the exact gradient of the mean loss with
     respect to the raw scores.
+
+    y has two values, the negative and the positive target, computed once in
+    P's dtype: every cell gets the negative's terms, then the positive cells
+    are overwritten.  Each cell takes the float operations a dense y would
+    give it, and at most two B x V arrays, delta among them, are held.
     """
-    B = len(signals.subjects)
-    y = np.zeros((B, n_candidates), dtype=signals.P.dtype)
     tails = [np.asarray(t, dtype=np.int64).reshape(-1) for t in targets]
     rows = np.repeat(np.arange(len(tails)), [len(t) for t in tails])
     cols = np.concatenate([np.empty(0, dtype=np.int64), *tails])
     bad = (cols < 0) | (cols >= n_candidates)
     if bad.any():
         raise ValueError(f"target id out of range in row {rows[bad.argmax()]}")
-    y[rows, cols] = 1.0
     if not 0.0 <= label_smoothing < 1.0:
         raise ValueError("label_smoothing must be in [0, 1)")
+    y = np.array([0.0, 1.0], dtype=signals.P.dtype)
     if label_smoothing:
         y = y * (1.0 - label_smoothing) + label_smoothing / n_candidates
+    y_neg, y_pos = y
 
     # softplus(raw) - y * raw, stable for large |raw|
-    cells = np.logaddexp(0.0, signals.raw) - y * signals.raw
+    raw = signals.raw
+    cells = np.logaddexp(0.0, raw)
+    pos_cells = cells[rows, cols] - y_pos * raw[rows, cols]
+    delta = np.multiply(y_neg, raw)     # delta's buffer, lent to the loss first
+    cells -= delta
+    cells[rows, cols] = pos_cells
     loss = float(cells.mean())
     if not np.isfinite(loss):
         raise NumericError(f"non-finite training loss: {loss}")
-    delta = (signals.P - y) / (B * n_candidates)
+    np.subtract(signals.P, y_neg, out=delta)
+    delta[rows, cols] = signals.P[rows, cols] - y_pos
+    delta /= len(signals.subjects) * n_candidates
     return loss, delta
 
 
@@ -354,7 +373,7 @@ def chunked_backward(state: ModelState, kg: KnowledgeGraph, signals: ScoreSignal
     grad_bias = float(delta.sum())
 
     if mode == "hardware":
-        gHv = gM * state.G
+        gHv = gM * relation_sums(kg, state.H_r)
     else:
         # Memorization path, walked from the tail side: each (tail, relation)
         # pair sums gM over its heads once, then binds it with H_r for the

@@ -128,5 +128,5 @@ def quantized_view(state: ModelState, kg: KnowledgeGraph,
     base_q = replace(state.base, data=q(state.base.data))
     H_v = q(encode(q(state.e_v), base_q))
     H_r = q(encode(q(state.e_r), base_q))
-    M_v, _ = memorize_edge_list(kg, H_v, H_r)
+    M_v = memorize_edge_list(kg, H_v, H_r)
     return ScoringView(M_v=q(M_v), H_r=H_r, bias=float(state.bias))

@@ -93,6 +93,23 @@ def memorize_matrix_form(kg: KnowledgeGraph, H_v: np.ndarray,
     return M
 
 
+def dense_target_loss(signals, targets, n_candidates, label_smoothing=0.1):
+    """Oracle for :func:`hdkg.model.loss_and_delta`: a dense B x V target matrix.
+
+    y holds 1 at each row's targets and 0 elsewhere, in P's dtype, and is
+    smoothed to y * (1 - eps) + eps / V as one array; the loss is the mean
+    of softplus(raw) - y * raw and delta is (P - y) / (B * V).
+    """
+    B = len(signals.subjects)
+    y = np.zeros((B, n_candidates), dtype=signals.P.dtype)
+    for j, tails in enumerate(targets):
+        y[j, np.asarray(tails, dtype=np.int64)] = 1.0
+    if label_smoothing:
+        y = y * (1.0 - label_smoothing) + label_smoothing / n_candidates
+    loss = float((np.logaddexp(0.0, signals.raw) - y * signals.raw).mean())
+    return loss, (signals.P - y) / (B * n_candidates)
+
+
 def serial_sign_tiles(signals, M, delta, T, dtype):
     """Oracle for :func:`hdkg.model._dense_contraction`: one thread, np.sign tiles.
 

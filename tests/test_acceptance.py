@@ -39,6 +39,7 @@ from hdkg.model import (
     chunked_backward,
     loss_and_delta,
     memorize_edge_list,
+    relation_sums,
     score_batch,
 )
 from hdkg.ranking import ScoringView, metrics, rank_queries
@@ -127,7 +128,7 @@ def test_02_memorize_routes_agree():
                         allow_dup=(k % 3 == 0))
         state = ModelState.create(n_vertices, n_relations, d=6, D=48, seed=k)
         state.refresh(kg)
-        M_edges, _ = memorize_edge_list(kg, state.H_v, state.H_r)
+        M_edges = memorize_edge_list(kg, state.H_v, state.H_r)
         M_matrix = memorize_matrix_form(kg, state.H_v, state.H_r)
         worst = max(worst, float(np.abs(M_edges - M_matrix).max()))
     _verdict("02 memorize-equivalence", worst <= 1e-10,
@@ -191,12 +192,13 @@ def test_05_shared_gradient_caching():
     naive_signs = np.sign(sig.Q[:, None, :] - state.M_v[None, :, :])
     signs_exact = bool((sig.S == naive_signs).all())
 
-    naive_G = np.zeros_like(state.G)
+    G = relation_sums(kg, state.H_r)
+    naive_G = np.zeros_like(G)
     for i in range(kg.n_entities):
         _, out_rels = kg.neighbors(i)
         if len(out_rels):
             naive_G[i] = state.H_r[out_rels].sum(axis=0)
-    G_exact = bool(np.array_equal(state.G, naive_G))
+    G_exact = bool(np.array_equal(G, naive_G))
 
     _, delta = loss_and_delta(sig, targets, kg.n_entities)
     grads, internals = chunked_backward(state, kg, sig, delta,
@@ -210,7 +212,7 @@ def test_05_shared_gradient_caching():
     for j, s in enumerate(subjects):
         gM[int(s)] += gQ[j]
     basemat_t = state.base.data.T
-    subj_rows_match = bool(np.array_equal(grads.e_v, (gM * state.G) @ basemat_t))
+    subj_rows_match = bool(np.array_equal(grads.e_v, (gM * G) @ basemat_t))
     rel_path_match = bool(np.array_equal(
         grads.e_r, internals["gHr_direct"] @ basemat_t))
 

@@ -193,6 +193,29 @@ class TestCorruption:
         with pytest.raises(CheckpointFormatError, match="trailing bytes"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["bias", "e_v", "e_r"])
+    def test_non_finite_parameters_rejected(self, tmp_path, name, value):
+        state = some_state()
+        if name == "bias":
+            state.bias = value
+        else:
+            getattr(state, name)[-1, 1] = value
+        path = tmp_path / "model.hdck"
+        save_checkpoint(path, state, seed=9, config_hash=DIGEST)
+        with pytest.raises(CheckpointFormatError, match=f"non-finite value in {name}"):
+            load_checkpoint(path)
+
+    def test_value_past_the_float32_range_rejected(self, tmp_path):
+        state = some_state()
+        state.e_r[0, 0] = 1e300
+        path = tmp_path / "model.hdck"
+        save_checkpoint(path, state, seed=9, config_hash=DIGEST)
+        load_checkpoint(path)                     # finite in float64
+        set_flag_bits(path, 5)                    # the float32 compute dtype
+        with pytest.raises(CheckpointFormatError, match="non-finite value in e_r"):
+            load_checkpoint(path)
+
     def test_failed_save_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "model.hdck"
         save_checkpoint(path, some_state(), seed=9, config_hash=DIGEST)

@@ -339,18 +339,24 @@ class TestCliEval:
                        "--out-dir", str(tmp_path)) == 3
         assert "data error" in capsys.readouterr().err
 
-    def test_nan_parameters_are_exit_4(self, dataset_dir, trained_dir,
-                                       tmp_path, capsys):
+    @pytest.mark.parametrize("command, artifact", [
+        ("eval", "eval_metrics.json"), ("drop-dims-eval", "drop_dims_metrics.json"),
+        ("quantize-eval", "quantize_metrics.json")],
+        ids=["eval", "drop-dims-eval", "quantize-eval"])
+    def test_nan_parameters_are_exit_3(self, dataset_dir, trained_dir, tmp_path,
+                                       capsys, command, artifact):
+        # Caught on load: a NaN score would rank as mrr inf in eval, and
+        # break the entropy histogram in drop-dims-eval.
         from hdkg.checkpoint import load_checkpoint, save_checkpoint
         state, _ = load_checkpoint(trained_dir / "model.hdck")
-        state.e_v = state.e_v.copy()
         state.e_v[0, 0] = np.nan
         poisoned = tmp_path / "nan.hdck"
         save_checkpoint(poisoned, state, seed=3, config_hash=bytes(32))
-        assert run_cli("quantize-eval", "--dataset", str(dataset_dir),
+        assert run_cli(command, "--dataset", str(dataset_dir),
                        "--checkpoint", str(poisoned),
-                       "--out-dir", str(tmp_path), "--d", "4", "--D", "16") == 4
-        assert "numeric error" in capsys.readouterr().err
+                       "--out-dir", str(tmp_path), "--d", "4", "--D", "16") == 3
+        assert "non-finite value in e_v" in capsys.readouterr().err
+        assert not (tmp_path / artifact).exists()
 
 
 class TestCliRobustness:

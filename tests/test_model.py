@@ -2,12 +2,14 @@
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from conftest import (dict_tail_index, graph_from_triples, make_graph,
-                      memorize_matrix_form, serial_sign_tiles)
+from conftest import (dense_target_loss, dict_tail_index, graph_from_triples,
+                      make_graph, memorize_matrix_form, serial_sign_tiles)
 from hdkg import model
 from hdkg.errors import ShapeError, StalenessError, NumericError
 from hdkg.hdc import BaseMatrix, encode
@@ -25,6 +27,7 @@ from hdkg.model import (
     chunked_backward,
     loss_and_delta,
     memorize_edge_list,
+    relation_sums,
     score_batch,
 )
 
@@ -93,7 +96,7 @@ class TestMemorize:
         kg = tiny_graph()
         state = fresh_state(kg)
         H, R = state.H_v, state.H_r
-        M, G = memorize_edge_list(kg, H, R)
+        M, G = memorize_edge_list(kg, H, R), relation_sums(kg, R)
         np.testing.assert_allclose(M[0], H[1] * R[0] + H[2] * R[1], atol=1e-12)
         np.testing.assert_allclose(M[1], H[2] * R[0], atol=1e-12)
         np.testing.assert_allclose(M[2], np.zeros(state.base.D), atol=0)
@@ -104,14 +107,15 @@ class TestMemorize:
     def test_duplicate_edges_accumulate(self):
         kg = graph_from_triples([(0, 0, 1), (0, 0, 1)], 2, 1)
         state = fresh_state(kg)
-        M, G = memorize_edge_list(kg, state.H_v, state.H_r)
+        M = memorize_edge_list(kg, state.H_v, state.H_r)
+        G = relation_sums(kg, state.H_r)
         np.testing.assert_allclose(M[0], 2 * state.H_v[1] * state.H_r[0], atol=1e-12)
         np.testing.assert_allclose(G[0], 2 * state.H_r[0], atol=1e-12)
 
     def test_matrix_form_agrees(self):
         kg = make_graph(20, 4, 80, seed=9, allow_dup=True)
         state = fresh_state(kg, d=6, D=32)
-        M1, _ = memorize_edge_list(kg, state.H_v, state.H_r)
+        M1 = memorize_edge_list(kg, state.H_v, state.H_r)
         M2 = memorize_matrix_form(kg, state.H_v, state.H_r)
         assert np.abs(M1 - M2).max() <= 1e-10
 
@@ -120,6 +124,49 @@ class TestMemorize:
         state = fresh_state(kg)
         with pytest.raises(ShapeError):
             memorize_edge_list(kg, state.H_v[:2], state.H_r)
+
+
+class TestRelationSums:
+    """G[i] = sum of H_r[r] over i's out-edges, built only by the hardware backward."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("graph", ["pairs", "random"])
+    def test_bit_for_bit_per_edge_sums_in_adjacency_order(self, dtype, graph):
+        # A per-edge loop in train order adds each head's relation rows in
+        # the order of its neighbor list, as the incidence product does.
+        kg = pair_graph() if graph == "pairs" else make_graph(25, 4, 90, seed=3,
+                                                               allow_dup=True)
+        state = fresh_state(kg, d=3, D=8, seed=2, dtype=dtype)
+        G = relation_sums(kg, state.H_r)
+        assert G.dtype == dtype
+        np.testing.assert_array_equal(G, per_edge_memory(kg, state.H_v, state.H_r)[1])
+
+    def test_state_keeps_no_relation_sums(self):
+        state = fresh_state(pair_graph())
+        assert not hasattr(state, "G")
+
+    def test_only_the_hardware_backward_builds_them(self, monkeypatch):
+        from hdkg.robustness import FixedPointSpec, quantized_view
+        from hdkg.ranking import ScoringView, rank_queries
+        kg = make_graph(20, 3, 60, seed=5)
+        state = fresh_state(kg, d=4, D=16, seed=5)
+        calls = []
+
+        def refuse(*args):
+            calls.append(args)
+            raise AssertionError("relation sums built outside the hardware backward")
+
+        monkeypatch.setattr(model, "relation_sums", refuse)
+        cfg = TrainConfig(batch_size=16, chunk_T=8, mode="reference")
+        Trainer(state, kg, cfg, seed=5).train_epoch()
+        state.refresh(kg)
+        rank_queries(ScoringView.from_state(state), kg.train[:10], tail_index(kg.train))
+        quantized_view(state, kg, FixedPointSpec(12, 6))
+        assert not calls
+        cfg.mode = "hardware"
+        with pytest.raises(AssertionError, match="outside the hardware"):
+            Trainer(state, kg, cfg, seed=5).train_epoch()
+        assert len(calls) == 1
 
 
 def pair_graph():
@@ -156,10 +203,11 @@ class TestPairKernel:
         kg = pair_graph()
         assert kg.head_pairs.vertex[2] == kg.head_pairs.vertex[3] == 1
         state = fresh_state(kg, d=3, D=8, seed=2)
-        M, G = memorize_edge_list(kg, state.H_v, state.H_r)
+        M = memorize_edge_list(kg, state.H_v, state.H_r)
+        G = relation_sums(kg, state.H_r)
         M_want, G_want = per_edge_memory(kg, state.H_v, state.H_r)
         np.testing.assert_allclose(M, M_want, rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(G, G_want, rtol=1e-13, atol=1e-15)
+        np.testing.assert_array_equal(G, G_want)
         assert not M[[4, 6]].any() and not G[[4, 6]].any()
 
     def test_reference_gradients_match_per_edge_oracle(self, monkeypatch, chunk):
@@ -315,22 +363,40 @@ class TestLoss:
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_scatter_fill_matches_row_by_row_fill(self, eps):
+        # Duplicate targets and empty rows, in both dtypes, bit for bit.
         gen = np.random.default_rng(5)
         B, V = 6, 11
-        raw = gen.normal(scale=3.0, size=(B, V))
-        sig = ScoreSignals(subjects=np.arange(B), rels=np.zeros(B, dtype=np.int64),
-                           Q=np.zeros((B, 2)), raw=raw, P=1.0 / (1.0 + np.exp(-raw)))
         targets = [[3, 3, 0], np.array([10, 2, 10]), [], np.array([], dtype=np.int64),
                    (7,), np.array([1, 1, 1, 5])]
-        y = np.zeros((B, V))
-        for j, tails in enumerate(targets):
-            y[j, np.asarray(tails, dtype=np.int64)] = 1.0
-        if eps:
-            y = y * (1.0 - eps) + eps / V
-        want_loss = float((np.logaddexp(0.0, raw) - y * raw).mean())
-        loss, delta = loss_and_delta(sig, targets, V, label_smoothing=eps)
-        assert loss == want_loss
-        np.testing.assert_array_equal(delta, (sig.P - y) / (B * V))
+        for dtype in (np.float64, np.float32):
+            sig = random_signals(gen, B, V, dtype)
+            loss, delta = loss_and_delta(sig, targets, V, label_smoothing=eps)
+            want_loss, want_delta = dense_target_loss(sig, targets, V, eps)
+            assert loss == want_loss
+            assert delta.dtype == want_delta.dtype == dtype
+            np.testing.assert_array_equal(delta, want_delta)
+
+    def test_peak_memory_is_two_score_matrices(self):
+        # Slack covers the target index arrays and numpy's small temporaries.
+        B, V = 64, 4000
+        gen = np.random.default_rng(3)
+        sig = random_signals(gen, B, V, np.float64)
+        targets = [gen.integers(0, V, size=3) for _ in range(B)]
+        score_matrix = B * V * 8
+        tracemalloc.start()
+        try:
+            loss_and_delta(sig, targets, V)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * score_matrix + 64 * 1024, peak / score_matrix
+
+
+def random_signals(gen, B, V, dtype):
+    """Scores spread over the saturated and the linear range of the sigmoid."""
+    raw = gen.normal(scale=20.0, size=(B, V)).astype(dtype)
+    return ScoreSignals(subjects=np.arange(B), rels=np.zeros(B, dtype=np.int64),
+                        Q=np.zeros((B, 2), dtype=dtype), raw=raw, P=expit(raw))
 
 
 def analytic_grads(kg, state, subjects, rels, targets, ls=0.1, mode="reference",
@@ -495,7 +561,7 @@ def split_case(regime, D=None, dtype=np.float64):
         state.H_v = np.round(state.H_v * 8) / 8
         state.H_r = np.round(state.H_r * 8) / 8
         state.H_r[0] = 0.0
-        state.M_v, state.G = memorize_edge_list(kg, state.H_v, state.H_r)
+        state.M_v = memorize_edge_list(kg, state.H_v, state.H_r)
         subjects[1], rels[1] = subjects[0], rels[0]
     targets = [index[(int(s), int(r))] for s, r in zip(subjects, rels)]
     return kg, state, subjects, rels, targets

@@ -7,7 +7,8 @@ first check), and valid files with one byte changed, truncated or extended.
 Each of the three triple split files gets its own draw.  Header counts that
 exceed the file are caught before any read, so no example asks for more
 memory than the file holds (the checkpoint's regenerated base matrix is
-capped at MAX_BASE_CELLS).
+capped at MAX_BASE_CELLS).  A checkpoint whose bias or parameters hold a
+NaN or an infinity must fail, as a format error.
 """
 
 import struct
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import graph_from_triples
 from hdkg.checkpoint import load_checkpoint, save_checkpoint
 from hdkg.config import build_config
-from hdkg.errors import HdkgError
+from hdkg.errors import CheckpointFormatError, HdkgError
 from hdkg.kg import (CACHE_MAGIC, CACHE_VERSION, SPLIT_FILES, load_cache,
                      load_dataset, save_cache)
 from hdkg.model import ModelState
@@ -83,6 +84,20 @@ def test_load_checkpoint(valid_blobs, tmp_path, data):
     blob = data.draw(_variants(valid_blobs[1],
                                checkpoint.MAGIC + struct.pack("<I", checkpoint.VERSION)))
     _fails_cleanly(load_checkpoint, tmp_path / "fuzz.hdck", blob)
+
+
+@FUZZ
+@given(slot=st.integers(0, 10), bits=st.sampled_from([
+    0x7FF8000000000000, 0x7FF0000000000000, 0xFFF0000000000000,  # nan, inf, -inf
+    0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF]))                   # other NaN payloads
+def test_load_checkpoint_rejects_non_finite_parameters(valid_blobs, tmp_path, slot, bits):
+    # The bias and the (3 + 2) x 2 parameter cells are the file's last 11 f8 slots.
+    blob = bytearray(valid_blobs[1])
+    struct.pack_into("<Q", blob, len(blob) - 8 * (11 - slot), bits)
+    path = tmp_path / "fuzz.hdck"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointFormatError, match="non-finite value"):
+        load_checkpoint(path)
 
 
 VALID_CONFIG = b"d = 8\nD = 32\nmode = hardware\nlr = 0.5  # comment\nsweep_capacities = 4,8\n"
