@@ -79,18 +79,19 @@ def _stamp(cfg: RunConfig) -> dict:
             "version": __version__}
 
 
-def _load_model(cfg: RunConfig) -> tuple[KnowledgeGraph, ModelState]:
-    """The graph and the checkpoint's model, checked to agree in shape."""
+def _load_model(cfg: RunConfig) -> tuple[KnowledgeGraph, ModelState, str]:
+    """The graph, the checkpoint's model (checked to agree with the graph in
+    shape) and the hex config hash the checkpoint was trained under."""
     kg = _load_graph(cfg)
     if not cfg.checkpoint:
         raise ConfigError("checkpoint path is required")
-    state, _ = load_checkpoint(cfg.checkpoint)
+    state, meta = load_checkpoint(cfg.checkpoint)
     if len(state.e_v) != kg.n_entities or len(state.e_r) != kg.n_relations:
         raise CheckpointFormatError(
             f"checkpoint shapes ({len(state.e_v)} vertices, {len(state.e_r)} "
             f"relations) do not match the dataset "
             f"({kg.n_entities} vertices, {kg.n_relations} relations)")
-    return kg, state
+    return kg, state, meta["config_hash"]
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
@@ -141,7 +142,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _eval_view(cfg: RunConfig, view, kg: KnowledgeGraph, mode_label: str,
-               stem: str = "eval_metrics") -> int:
+               checkpoint_hash: str, stem: str = "eval_metrics") -> int:
     queries = getattr(kg, cfg.split)
     if len(queries) == 0:
         raise DatasetFormatError(f"split {cfg.split!r} is empty")
@@ -153,7 +154,8 @@ def _eval_view(cfg: RunConfig, view, kg: KnowledgeGraph, mode_label: str,
     out.mkdir(parents=True, exist_ok=True)
     row = {"split": cfg.split, "mode": mode_label, **results,
            "seed": cfg.seed, "config_hash": config_hash(cfg).hex()}
-    write_metrics_json(out / f"{stem}.json", row | {"version": __version__})
+    write_metrics_json(out / f"{stem}.json", row | {
+        "checkpoint_config_hash": checkpoint_hash, "version": __version__})
     write_metrics_csv(out / f"{stem}.csv", [row])
     print(f"{cfg.split} {mode_label}: mrr {results['mrr']:.4f} "
           f"hits@1 {results['hits1']:.4f} hits@3 {results['hits3']:.4f} "
@@ -162,33 +164,33 @@ def _eval_view(cfg: RunConfig, view, kg: KnowledgeGraph, mode_label: str,
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    kg, state = _load_model(cfg)
+    kg, state, checkpoint_hash = _load_model(cfg)
     state.refresh(kg)
     label = "filtered" if cfg.filtered else "raw"
-    return _eval_view(cfg, ScoringView.from_state(state), kg, label)
+    return _eval_view(cfg, ScoringView.from_state(state), kg, label, checkpoint_hash)
 
 
 def cmd_quantize_eval(cfg: RunConfig) -> int:
-    kg, state = _load_model(cfg)
+    kg, state, checkpoint_hash = _load_model(cfg)
     spec = FixedPointSpec(cfg.fix_bits, cfg.frac_bits)
     view = quantized_view(state, kg, spec)
     label = f"fix{cfg.fix_bits}.{cfg.frac_bits}"
-    return _eval_view(cfg, view, kg, label, stem="quantize_metrics")
+    return _eval_view(cfg, view, kg, label, checkpoint_hash, stem="quantize_metrics")
 
 
 def cmd_drop_dims_eval(cfg: RunConfig) -> int:
-    kg, state = _load_model(cfg)
+    kg, state, checkpoint_hash = _load_model(cfg)
     state.refresh(kg)
     view, kept = drop_dims(ScoringView.from_state(state), cfg.drop_frac,
                            cfg.drop_strategy, seed=cfg.seed)
     label = f"drop{cfg.drop_frac:g}.{cfg.drop_strategy}"
-    code = _eval_view(cfg, view, kg, label, stem="drop_dims_metrics")
+    code = _eval_view(cfg, view, kg, label, checkpoint_hash, stem="drop_dims_metrics")
     print(f"kept {len(kept)} of {cfg.D} dimensions")
     return code
 
 
 def cmd_reconstruct(cfg: RunConfig) -> int:
-    kg, state = _load_model(cfg)
+    kg, state, _ = _load_model(cfg)
     state.refresh(kg)
     if not 0 <= cfg.vertex < kg.n_entities:
         raise ConfigError(f"vertex {cfg.vertex} out of range")

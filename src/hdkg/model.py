@@ -230,11 +230,17 @@ def query_scores(view, subjects, rels) -> tuple[np.ndarray, np.ndarray]:
 
     ``view`` is anything with ``M_v``, ``H_r`` and ``bias``: a refreshed
     :class:`ModelState` in training, a :class:`hdkg.ranking.ScoringView` in
-    evaluation.  The scores come back in M_v's dtype.
+    evaluation.  The scores come back in M_v's dtype.  A non-finite score
+    raises :class:`NumericError`: the backward's sign comparisons read a NaN
+    as a tie, and ranking would place a NaN target at rank 0.
     """
     Q = view.M_v[subjects] + view.H_r[rels]
     norms = cdist(Q, view.M_v, metric="cityblock").astype(view.M_v.dtype, copy=False)
-    return Q, np.subtract(view.bias, norms, out=norms)
+    raw = np.subtract(view.bias, norms, out=norms)
+    bad = ~np.isfinite(raw)
+    if bad.any():
+        raise NumericError(f"non-finite score in batch row {bad.any(axis=1).argmax()}")
+    return Q, raw
 
 
 def score_batch(state: ModelState, subjects, rels,
@@ -252,11 +258,6 @@ def score_batch(state: ModelState, subjects, rels,
         raise ValueError("relation id out of range")
 
     Q, raw = query_scores(state, subjects, rels)
-    # Signs from comparisons read a NaN as a tie, so nothing non-finite
-    # may reach the backward.
-    bad = ~np.isfinite(raw)
-    if bad.any():
-        raise NumericError(f"non-finite score in batch row {bad.any(axis=1).argmax()}")
     P = expit(raw)
     S = None
     if cache_signs:

@@ -3,9 +3,9 @@
 Capacity counts hypervector-sized slots (the on-chip UltraRAM budget).
 Relation hypervectors never pass through here; the device keeps all of them
 resident.  LFU evicts the least-frequently-used entry, breaking ties by
-least-recent touch and then by lowest vertex id.  Its heap is built when the
-cache first fills, keeps stale entries until they surface, and is rebuilt
-from the current entries once it outgrows LFU_HEAP_SLACK times the capacity.
+least-recent touch.  It keeps one insertion-ordered bucket of vertices per
+access count (Shah, Mitra & Matani, 2010): a hit moves the vertex to the end
+of the next bucket, and the victim is the first entry of the lowest bucket.
 Random eviction draws from the ``random-policy`` stream.
 
 :meth:`Cache.access` answers hit or miss, and the cache counts only its
@@ -15,13 +15,11 @@ evictions.  Hit and miss totals are the caller's: the replay keeps them in
 
 from __future__ import annotations
 
-import heapq
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 
 from .. import rng
 
 CACHE_POLICIES = ("lru", "lfu", "random")
-LFU_HEAP_SLACK = 2     # LFU heap entries allowed per slot before a rebuild
 
 
 class Cache:
@@ -33,29 +31,26 @@ class Cache:
         self.capacity = capacity
         self.policy = policy
         self.evictions = 0
-        self._clock = 0
         self._lru: OrderedDict[int, None] = OrderedDict()
-        self._meta: dict[int, tuple[int, int, int]] = {}  # vid -> its current heap entry
-        self._heap: list[tuple[int, int, int]] = []       # (freq, last_touch, vid)
+        self._freq: dict[int, int] = {}               # lfu: vid -> access count
+        # lfu: access count -> its vertices, least recently touched first
+        self._buckets: defaultdict[int, OrderedDict[int, None]] = defaultdict(OrderedDict)
+        self._min_freq = 0                            # lfu: lowest non-empty bucket
         self._slots: list[int] = []                   # random policy: resident vids
         self._pos: dict[int, int] = {}                # vid -> index into _slots
         self._gen = rng.stream(seed, "random-policy")
+        # access(vid) touches one vertex and returns True on a hit; a miss
+        # inserts it, evicting first if the cache is full.
+        self.access = {"lru": self._access_lru, "lfu": self._access_lfu,
+                       "random": self._access_random}[policy]
 
     @property
     def resident(self) -> set[int]:
         if self.policy == "lru":
             return set(self._lru)
         if self.policy == "lfu":
-            return set(self._meta)
+            return set(self._freq)
         return set(self._slots)
-
-    def access(self, vid: int) -> bool:
-        """Touch one vertex; returns True on hit.  Misses insert (evicting if full)."""
-        if self.policy == "lru":
-            return self._access_lru(vid)
-        if self.policy == "lfu":
-            return self._access_lfu(vid)
-        return self._access_random(vid)
 
     def _access_lru(self, vid):
         if vid in self._lru:
@@ -70,34 +65,27 @@ class Cache:
         return False
 
     def _access_lfu(self, vid):
-        self._clock += 1
-        current = self._meta.get(vid)
-        if current is not None:
-            entry = (current[0] + 1, self._clock, vid)
+        freq = self._freq.get(vid, 0)
+        if freq:
+            bucket = self._buckets[freq]
+            del bucket[vid]
+            if not bucket:
+                del self._buckets[freq]
+                if self._min_freq == freq:
+                    self._min_freq += 1
+        elif self.capacity == 0:
+            return False
         else:
-            if self.capacity == 0:
-                return False
-            if len(self._meta) >= self.capacity:
-                # Stale heap entries are skipped until one is a vertex's
-                # current entry.
-                while True:
-                    victim = heapq.heappop(self._heap)
-                    if self._meta.get(victim[2]) is victim:
-                        del self._meta[victim[2]]
-                        self.evictions += 1
-                        break
-            entry = (1, self._clock, vid)
-        self._meta[vid] = entry
-        # Nothing is evicted before the cache fills, so the heap is built
-        # then, and rebuilt whenever stale entries pile up.  Entries are
-        # totally ordered and only current ones are evicted, so dropping the
-        # stale ones keeps the eviction order.
-        if len(self._meta) >= self.capacity:
-            heapq.heappush(self._heap, entry)
-            if not len(self._meta) <= len(self._heap) <= LFU_HEAP_SLACK * self.capacity:
-                self._heap = list(self._meta.values())
-                heapq.heapify(self._heap)
-        return current is not None
+            if len(self._freq) >= self.capacity:
+                bucket = self._buckets[self._min_freq]
+                del self._freq[bucket.popitem(last=False)[0]]
+                if not bucket:
+                    del self._buckets[self._min_freq]
+                self.evictions += 1
+            self._min_freq = 1
+        self._freq[vid] = freq + 1
+        self._buckets[freq + 1][vid] = None
+        return freq > 0
 
     def _access_random(self, vid):
         if vid in self._pos:

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..atomic import atomic_write
 from .cache import Cache
-from .scheduler import Registry, schedule_epoch
+from .scheduler import schedule_epoch
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class ReplayStats:
         return self.hits / total if total else 0.0
 
 
-def replay_schedule(batches, neighbors_of, cache: Cache, registry: Registry,
+def replay_schedule(batches, neighbors_of, cache: Cache, registry: set[int],
                     d: int, D: int, cfg: CostConfig) -> ReplayStats:
     """Walk one epoch's schedule, driving the cache and the registry.
 
@@ -128,7 +128,7 @@ def replay_schedule(batches, neighbors_of, cache: Cache, registry: Registry,
                 stats.encodes += 1
                 stats.host_payload_bytes += d * cfg.elem_bytes
                 stats.encode_write_bytes += hv_bytes
-                registry.allocate(vid)
+                registry.add(vid)
             else:
                 stats.host_payload_bytes += cfg.addr_bytes
             tails, _rels = neighbors_of(vid)
@@ -173,7 +173,7 @@ def simulate(degrees: np.ndarray, neighbors_of, n_relations: int, n_train: int,
     steady state the latency model reports.
     """
     n_vertices = len(degrees)
-    registry = Registry()
+    registry: set[int] = set()
     cache = Cache(cfg.cache_slots, cfg.cache_policy, seed=seed)
 
     cold_batches = schedule_epoch(degrees, cfg.mem_engines, registry)

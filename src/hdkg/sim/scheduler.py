@@ -1,4 +1,4 @@
-"""Density-aware vertex scheduling and the encoded-vertex registry.
+"""Density-aware vertex scheduling against the encoded-vertex registry.
 
 Vertices stream in id order into per-degree buckets.  A bucket that reaches
 the engine count N_c flushes as one batch, so the memorization engines run
@@ -6,10 +6,10 @@ load-balanced over members of identical degree.  Whatever remains at the end
 of the stream flushes in descending-degree order, packed up to N_c per batch;
 only these tail batches may mix degrees.
 
-The registry maps vertex id to its device address.  A vertex found in the
-registry travels as an 8-byte address and is not re-encoded; an unknown one
-travels as its d-float embedding row and gets an address from a bump
-allocator when the device stores its freshly encoded hypervector.
+The registry is the set of vertex ids whose hypervectors the device already
+stores.  A registered vertex travels as an 8-byte address and is not
+re-encoded; an unknown one travels as its d-float embedding row and is
+registered once the device stores its freshly encoded hypervector.
 """
 
 from __future__ import annotations
@@ -17,28 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class Registry:
-    """Vertex id -> device address, addresses handed out by a bump allocator."""
-
-    def __init__(self):
-        self.addresses: dict[int, int] = {}
-        self.next_address = 0
-
-    def __contains__(self, vid) -> bool:
-        return vid in self.addresses
-
-    def __len__(self) -> int:
-        return len(self.addresses)
-
-    def allocate(self, vid: int) -> int:
-        if vid in self.addresses:
-            return self.addresses[vid]
-        addr = self.next_address
-        self.addresses[vid] = addr
-        self.next_address += 1
-        return addr
 
 
 @dataclass
@@ -52,7 +30,7 @@ class ScheduleBatch:
 
 
 def schedule_epoch(degrees: np.ndarray, n_engines: int,
-                   registry: Registry) -> list[ScheduleBatch]:
+                   registry: set[int]) -> list[ScheduleBatch]:
     """Batch every vertex exactly once for one epoch of memorization."""
     if n_engines < 1:
         raise ValueError("n_engines must be at least 1")
@@ -68,24 +46,12 @@ def schedule_epoch(degrees: np.ndarray, n_engines: int,
                 members=bucket.copy(), degree=deg, tail=False,
                 encode=[v not in registry for v in bucket]))
             bucket.clear()
-    # Flush leftovers, largest degrees first, packing up to n_engines per batch.
-    pending: list[int] = []
-    pending_deg = 0
-
-    def flush():
-        nonlocal pending, pending_deg
-        if pending:
-            batches.append(ScheduleBatch(
-                members=pending, degree=pending_deg, tail=True,
-                encode=[v not in registry for v in pending]))
-            pending = []
-            pending_deg = 0
-
-    for deg in sorted(buckets, reverse=True):
-        for vid in buckets[deg]:
-            pending.append(vid)
-            pending_deg = max(pending_deg, deg)
-            if len(pending) == n_engines:
-                flush()
-    flush()
+    # Pack the leftovers, largest degrees first, so each tail batch's first
+    # member has its largest degree.
+    leftovers = [vid for deg in sorted(buckets, reverse=True) for vid in buckets[deg]]
+    for start in range(0, len(leftovers), n_engines):
+        members = leftovers[start:start + n_engines]
+        batches.append(ScheduleBatch(
+            members=members, degree=int(degrees[members[0]]), tail=True,
+            encode=[v not in registry for v in members]))
     return batches

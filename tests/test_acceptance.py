@@ -46,7 +46,7 @@ from hdkg.ranking import ScoringView, metrics, rank_queries
 from hdkg.robustness import FixedPointSpec, drop_dims, quantized_view
 from hdkg.sim.cache import Cache
 from hdkg.sim.cost import PRESETS, replay_schedule, simulate
-from hdkg.sim.scheduler import Registry, schedule_epoch
+from hdkg.sim.scheduler import schedule_epoch
 
 
 def _record(line: str) -> None:
@@ -343,7 +343,7 @@ def test_08_entropy_guided_drop_beats_random(trained_setup):
 
 
 def _schedule_invariants(tag, degrees, neighbors_of, n_engines, cfg):
-    registry = Registry()
+    registry = set()
     cache = Cache(cfg.cache_slots, cfg.cache_policy, seed=0)
     first = schedule_epoch(degrees, n_engines, registry)
     replay_schedule(first, neighbors_of, cache, registry, d=96, D=256, cfg=cfg)

@@ -18,6 +18,7 @@ from hdkg.config import (
     validate,
 )
 from hdkg.errors import ConfigError
+from hdkg.ranking import METRICS_CSV_FIELDS
 
 TRAIN = ("a\tr0\tb\nb\tr0\tc\nc\tr1\ta\na\tr1\tc\nb\tr1\ta\nc\tr0\tb\n"
          "a\tr0\tc\nb\tr0\ta\n")
@@ -357,6 +358,26 @@ class TestCliEval:
                        "--out-dir", str(tmp_path), "--d", "4", "--D", "16") == 3
         assert "non-finite value in e_v" in capsys.readouterr().err
         assert not (tmp_path / artifact).exists()
+
+
+    @pytest.mark.parametrize("command, stem", [
+        ("eval", "eval_metrics"), ("drop-dims-eval", "drop_dims_metrics"),
+        ("quantize-eval", "quantize_metrics")],
+        ids=["eval", "drop-dims-eval", "quantize-eval"])
+    def test_json_names_the_checkpoint_config(self, dataset_dir, trained_dir,
+                                              tmp_path, command, stem):
+        from hdkg.checkpoint import load_checkpoint, save_checkpoint
+        state, _ = load_checkpoint(trained_dir / "model.hdck")
+        tagged = tmp_path / "tagged.hdck"
+        save_checkpoint(tagged, state, seed=3, config_hash=bytes(range(32)))
+        assert run_cli(command, "--dataset", str(dataset_dir),
+                       "--checkpoint", str(tagged),
+                       "--out-dir", str(tmp_path), "--d", "4", "--D", "16") == 0
+        row = json.loads((tmp_path / f"{stem}.json").read_text())
+        assert row["checkpoint_config_hash"] == bytes(range(32)).hex()
+        assert row["config_hash"] != row["checkpoint_config_hash"]
+        header = (tmp_path / f"{stem}.csv").read_text().splitlines()[0]
+        assert header == ",".join(METRICS_CSV_FIELDS)
 
 
 class TestCliRobustness:

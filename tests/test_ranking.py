@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import dict_tail_index, graph_from_triples, make_graph
-from hdkg.errors import ShapeError, StalenessError
+from hdkg.errors import NumericError, ShapeError, StalenessError
 from hdkg.kg import tail_index
 from hdkg.model import ModelState, score_batch
 from hdkg.ranking import (
@@ -124,6 +124,18 @@ class TestRankQueries:
         with pytest.raises(ShapeError):
             rank_queries(hand_view(), np.zeros((3, 2), dtype=np.int64),
                          filtered=False)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_target_score_raises(self, value):
+        # A NaN target score equals nothing, itself included, so it would
+        # rank at 0 and make the MRR infinite.
+        kg = make_graph(25, 3, 80, seed=2)
+        state = ModelState.create(25, 3, d=5, D=32, seed=2)
+        state.refresh(kg)
+        view = ScoringView.from_state(state)
+        view.M_v[kg.train[0, 2], 0] = value
+        with pytest.raises(NumericError, match="row 0"):
+            rank_queries(view, kg.train[:5], tail_index(kg.train))
 
 
 class TestMetrics:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_graph, neighbors_from_degrees, skewed_degrees
-from hdkg.sim.cache import LFU_HEAP_SLACK, Cache
+from hdkg.sim.cache import Cache
 from hdkg.sim.cost import (
     PRESETS,
     ReplayStats,
@@ -17,63 +17,61 @@ from hdkg.sim.cost import (
     sweep_capacities,
     write_sweep_csv,
 )
-from hdkg.sim.scheduler import Registry, ScheduleBatch, schedule_epoch
-
-
-class TestRegistry:
-    def test_bump_allocation(self):
-        reg = Registry()
-        assert reg.allocate(7) == 0
-        assert reg.allocate(3) == 1
-        assert reg.allocate(7) == 0  # idempotent
-        assert 3 in reg and 5 not in reg
-        assert len(reg) == 2
+from hdkg.sim.scheduler import ScheduleBatch, schedule_epoch
 
 
 class TestScheduler:
     def test_hand_trace_equal_degrees(self):
         # degrees [2, 1, 2, 1] with two engines: vertices of equal degree
         # pair up in id order
-        batches = schedule_epoch(np.array([2, 1, 2, 1]), 2, Registry())
+        batches = schedule_epoch(np.array([2, 1, 2, 1]), 2, set())
         assert [b.members for b in batches] == [[0, 2], [1, 3]]
         assert [b.degree for b in batches] == [2, 1]
         assert all(not b.tail for b in batches)
         assert all(b.encode == [True, True] for b in batches)
 
     def test_leftovers_packed_descending(self):
-        batches = schedule_epoch(np.array([5, 4, 3]), 2, Registry())
+        batches = schedule_epoch(np.array([5, 4, 3]), 2, set())
         assert [b.members for b in batches] == [[0, 1], [2]]
         assert [b.degree for b in batches] == [5, 3]
         assert all(b.tail for b in batches)
 
     def test_full_buckets_flush_before_tail(self):
-        batches = schedule_epoch(np.array([3, 1, 2, 2, 1]), 2, Registry())
+        batches = schedule_epoch(np.array([3, 1, 2, 2, 1]), 2, set())
         assert [b.members for b in batches] == [[2, 3], [1, 4], [0]]
         assert [b.tail for b in batches] == [False, False, True]
 
     def test_every_vertex_exactly_once(self):
         degrees = skewed_degrees(300, 1500, seed=2)
-        batches = schedule_epoch(degrees, 16, Registry())
+        batches = schedule_epoch(degrees, 16, set())
         seen = [v for b in batches for v in b.members]
         assert sorted(seen) == list(range(300))
 
     def test_non_tail_batches_are_degree_homogeneous(self):
         degrees = skewed_degrees(500, 2500, seed=3)
-        for batch in schedule_epoch(degrees, 8, Registry()):
+        for batch in schedule_epoch(degrees, 8, set()):
             if not batch.tail:
                 assert len(set(int(degrees[v]) for v in batch.members)) == 1
                 assert len(batch.members) == 8
 
+    @pytest.mark.parametrize("n_engines", [1, 3, 16])
+    def test_batch_degree_is_the_largest_member_degree(self, n_engines):
+        degrees = skewed_degrees(500, 2500, seed=3)
+        batches = schedule_epoch(degrees, n_engines, set())
+        for batch in batches:
+            assert batch.degree == max(int(degrees[v]) for v in batch.members)
+        tail_degrees = [b.degree for b in batches if b.tail]
+        assert tail_degrees == sorted(tail_degrees, reverse=True)
+
     def test_encode_flags_respect_registry(self):
-        reg = Registry()
-        reg.allocate(0)
+        reg = {0}
         batches = schedule_epoch(np.array([1, 1]), 2, reg)
         assert batches[0].members == [0, 1]
         assert batches[0].encode == [False, True]
 
     def test_rejects_zero_engines(self):
         with pytest.raises(ValueError):
-            schedule_epoch(np.array([1]), 0, Registry())
+            schedule_epoch(np.array([1]), 0, set())
 
 
 class TestCache:
@@ -128,29 +126,28 @@ class TestCache:
                 cache.access(int(v))
             assert len(cache.resident) <= 3
 
-    def test_lfu_matches_linear_scan_oracle_with_bounded_heap(self):
-        # Oracle: evict the minimum (freq, last touch, vid) by a full scan.
-        capacity = 8
-        cache = Cache(capacity, "lfu")
-        meta, evictions = {}, 0
+    @pytest.mark.parametrize("capacity", [0, 1, 8])
+    @pytest.mark.parametrize("policy", ["lru", "lfu"])
+    def test_matches_linear_scan_oracle(self, policy, capacity):
+        # Oracle: a full scan evicts the least recent touch (LRU) or the
+        # least (access count, last touch) (LFU).
+        rank = {"lru": lambda count, touch: touch,
+                "lfu": lambda count, touch: (count, touch)}[policy]
+        cache = Cache(capacity, policy)
+        meta, evictions = {}, 0          # vid -> (access count, last touch)
         gen = np.random.default_rng(3)
         stream = gen.zipf(1.3, 20000) % 60
         for clock, v in enumerate(stream.tolist(), start=1):
-            if v in meta:
-                meta[v] = (meta[v][0] + 1, clock)
-                expected_hit = True
-            else:
-                if len(meta) >= capacity:
-                    victim = min(meta, key=lambda u: (*meta[u], u))
-                    del meta[victim]
-                    evictions += 1
-                meta[v] = (1, clock)
-                expected_hit = False
-            assert cache.access(v) == expected_hit
+            hit = v in meta
+            assert cache.access(v) == hit
+            if not hit and capacity and len(meta) == capacity:
+                del meta[min(meta, key=lambda u: rank(*meta[u]))]
+                evictions += 1
+            if capacity:
+                meta[v] = (meta[v][0] + 1 if hit else 1, clock)
             assert cache.resident == set(meta)
-            assert len(cache._heap) <= LFU_HEAP_SLACK * capacity
         assert cache.evictions == evictions
-        assert evictions > 1000
+        assert evictions > 1000 if capacity else evictions == 0
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -169,7 +166,7 @@ class TestReplay:
     def test_traffic_equals_misses_times_row_bytes(self):
         degrees, neighbors_of = tiny_workload()
         cfg = PRESETS["u50"]
-        reg = Registry()
+        reg = set()
         cache = Cache(64, "lru")
         batches = schedule_epoch(degrees, cfg.mem_engines, reg)
         stats = replay_schedule(batches, neighbors_of, cache, reg,
@@ -180,7 +177,7 @@ class TestReplay:
     def test_cold_pass_encodes_every_vertex(self):
         degrees, neighbors_of = tiny_workload()
         cfg = PRESETS["u50"]
-        reg = Registry()
+        reg = set()
         batches = schedule_epoch(degrees, cfg.mem_engines, reg)
         stats = replay_schedule(batches, neighbors_of, Cache(32, "lfu"), reg,
                                 d=96, D=256, cfg=cfg)
@@ -190,7 +187,7 @@ class TestReplay:
     def test_warm_pass_encodes_nothing(self):
         degrees, neighbors_of = tiny_workload()
         cfg = PRESETS["u50"]
-        reg = Registry()
+        reg = set()
         cache = Cache(32, "lfu")
         first = schedule_epoch(degrees, cfg.mem_engines, reg)
         replay_schedule(first, neighbors_of, cache, reg, d=96, D=256, cfg=cfg)
@@ -202,7 +199,7 @@ class TestReplay:
     def test_host_payload_accounting(self):
         degrees, neighbors_of = tiny_workload(V=40, E=200)
         cfg = PRESETS["u50"]
-        reg = Registry()
+        reg = set()
         batches = schedule_epoch(degrees, cfg.mem_engines, reg)
         stats = replay_schedule(batches, neighbors_of, Cache(16, "lru"), reg,
                                 d=96, D=256, cfg=cfg)
@@ -217,7 +214,7 @@ class TestReplay:
         cfg = PRESETS["u50"]
 
         def run(n_engines, D):
-            reg = Registry()
+            reg = set()
             batches = schedule_epoch(degrees, n_engines, reg)
             return replay_schedule(batches, lambda v: (tails[v], None),
                                    Cache(0, "lru"), reg, d=96, D=D, cfg=cfg)
@@ -235,7 +232,7 @@ class TestReplay:
         def run(encode):
             batch = ScheduleBatch(members=[0, 1], degree=0, tail=True, encode=encode)
             return replay_schedule([batch], lambda v: ([], None), Cache(0, "lru"),
-                                   Registry(), d=96, D=256, cfg=cfg)
+                                   set(), d=96, D=256, cfg=cfg)
 
         stats = run([False, True])
         assert stats.encodes == 1
@@ -246,7 +243,7 @@ class TestReplay:
     def test_evictions_are_the_cache_delta(self):
         degrees, neighbors_of = tiny_workload()
         cfg = PRESETS["u50"]
-        reg = Registry()
+        reg = set()
         cache = Cache(16, "lfu")
         for _ in range(2):
             before = cache.evictions
@@ -262,7 +259,7 @@ class TestSimulate:
         degrees, neighbors_of = tiny_workload()
         cfg = dataclasses.replace(PRESETS["u50"], cache_slots=16, cache_policy=policy)
         report = simulate(degrees, neighbors_of, 4, 600, d=96, D=256, cfg=cfg, seed=3)
-        reg = Registry()
+        reg = set()
         cache = Cache(16, policy, seed=3)
         deltas = []
         for _ in range(2):
