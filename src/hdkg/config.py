@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
+from .checkpoint import MAX_BASE_CELLS
 from .errors import ConfigError
 from .hdc import SIMILARITY_METRICS
 from .model import BACKWARD_MODES
@@ -155,12 +156,14 @@ def build_config(preset: str | None = None, config_path=None,
 
 def validate(cfg: RunConfig) -> None:
     """Raise ConfigError on the first invalid field.  Enumerations and the
-    fixed-point range are taken from the modules that enforce them."""
+    fixed-point and base-matrix limits come from the modules enforcing them."""
     def require(cond, message):
         if not cond:
             raise ConfigError(message)
 
     require(cfg.d > 0 and cfg.D > 0, "d and D must be positive")
+    require(cfg.d * cfg.D <= MAX_BASE_CELLS,
+            f"base matrix {cfg.d} x {cfg.D} exceeds {MAX_BASE_CELLS} cells")
     require(cfg.seed >= 0, "seed must be non-negative")
     require(cfg.batch_size > 0, "batch_size must be positive")
     require(cfg.chunk_T > 0, "chunk_T must be positive")

@@ -7,13 +7,15 @@ train, then valid, then test (head before tail within a line).
 
 Adjacency follows the directed out-neighbor convention: ``neighbors(i)``
 is the multiset of ``(tail, relation)`` pairs over train triples with head
-``i``.  Duplicate triples are retained in the adjacency.
+``i``, in (relation, tail) order, duplicate triples retained.
 
 Every grouping by (vertex, relation) goes through one builder,
 :meth:`PairIndex.build`: one sort of the combined ``(vertex * |R| + rel) *
 |V| + member`` keys, split into sorted pair keys plus a CSR of sorted
 members.  The graph's ``head_pairs`` and ``tail_pairs`` group the train
 triples for the memorization walks of :mod:`hdkg.model`, duplicates kept.
+``neighbors``, ``degrees`` and the model's relation sums read ``head_pairs``
+too, so the train split is grouped by head once.
 :func:`tail_index` builds the same structure over any splits with
 duplicates dropped; it gives the trainer its multi-hot targets and filtered
 ranking its known tails, both looked up a batch at a time.
@@ -79,6 +81,8 @@ class PairIndex(Mapping):
         With ``unique``, repeated rows keep only their first copy, so each
         pair's members are distinct.
         """
+        if int(n_entities) * int(n_relations) * int(n_entities) >= 2 ** 63:
+            raise ValueError(f"{n_entities} x {n_relations} x {n_entities} keys overflow int64")
         code = np.sort((vertex * n_relations + rel) * n_entities + other)
         if unique and len(code):
             first = np.empty(len(code), dtype=bool)
@@ -166,11 +170,10 @@ class KnowledgeGraph:
         train, valid, test: ``(n, 3)`` int64 arrays of (head, rel, tail) ids.
         augmented: True once reciprocal triples have been added.
 
-    Derived from the train split on first use: the head-sorted neighbor
-    lists (``nbr_indptr``, ``nbr_rels`` and :meth:`neighbors` read them),
-    and the pair indexes ``head_pairs`` (train triples grouped by (head,
-    relation), tail members) and ``tail_pairs`` (by (tail, relation), head
-    members).
+    Derived from the train split on first use: the pair indexes ``head_pairs``
+    (train triples grouped by (head, relation), tail members) and ``tail_pairs``
+    (by (tail, relation), head members), and ``out_edges``, the per-vertex
+    view of ``head_pairs`` that :meth:`neighbors` and :meth:`degrees` read.
     """
 
     entities: list[str]
@@ -181,12 +184,9 @@ class KnowledgeGraph:
     augmented: bool = False
 
     def __post_init__(self):
-        self.entity_index = {name: i for i, name in enumerate(self.entities)}
-        self.relation_index = {name: i for i, name in enumerate(self.relations)}
-        if len(self.entity_index) != len(self.entities):
-            raise DatasetFormatError("duplicate entity names in vocabulary")
-        if len(self.relation_index) != len(self.relations):
-            raise DatasetFormatError("duplicate relation names in vocabulary")
+        for kind, names in (("entity", self.entities), ("relation", self.relations)):
+            if len(set(names)) != len(names):
+                raise DatasetFormatError(f"duplicate {kind} names in vocabulary")
         for split_name, split in (("train", self.train), ("valid", self.valid), ("test", self.test)):
             if split.ndim != 2 or split.shape[1] != 3:
                 raise DatasetFormatError(f"{split_name} split must be (n, 3), got {split.shape}")
@@ -208,23 +208,6 @@ class KnowledgeGraph:
     # graph that add_reciprocal replaces never builds it.
 
     @cached_property
-    def _neighbor_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        heads = self.train[:, 0]
-        order = np.argsort(heads, kind="stable")
-        counts = np.bincount(heads, minlength=self.n_entities)
-        return (np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
-                self.train[order, 2].astype(np.int64),
-                self.train[order, 1].astype(np.int64))
-
-    @property
-    def nbr_indptr(self) -> np.ndarray:
-        return self._neighbor_lists[0]
-
-    @property
-    def nbr_rels(self) -> np.ndarray:
-        return self._neighbor_lists[2]
-
-    @cached_property
     def head_pairs(self) -> PairIndex:
         heads, rels, tails = self.train[:, 0], self.train[:, 1], self.train[:, 2]
         return PairIndex.build(heads, rels, tails, self.n_entities, self.n_relations)
@@ -234,16 +217,29 @@ class KnowledgeGraph:
         heads, rels, tails = self.train[:, 0], self.train[:, 1], self.train[:, 2]
         return PairIndex.build(tails, rels, heads, self.n_entities, self.n_relations)
 
+    @cached_property
+    def out_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(offsets, tails, relations): vertex i's out-edges are entries
+        ``offsets[i]:offsets[i + 1]`` of the read-only ``head_pairs.member`` and
+        of its members' read-only relations, in (relation, tail) order."""
+        pairs = self.head_pairs
+        first_key = np.arange(self.n_entities + 1, dtype=np.int64) * self.n_relations
+        offsets = pairs.indptr[np.searchsorted(pairs.key, first_key)]
+        rels = np.repeat(pairs.rel, np.diff(pairs.indptr))
+        rels.setflags(write=False)
+        return offsets, pairs.member, rels
+
     def neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Out-neighbors of vertex i in train: (tails, relations), duplicates kept."""
-        # One lookup of the lists: this is the simulator's per-vertex path.
-        indptr, tails, rels = self._neighbor_lists
-        lo, hi = indptr[i], indptr[i + 1]
+        """Read-only (tails, relations) views of vertex i's train out-edges,
+        duplicates kept, in (relation, tail) order."""
+        # One lookup of the edges: this is the simulator's per-vertex path.
+        offsets, tails, rels = self.out_edges
+        lo, hi = offsets[i], offsets[i + 1]
         return tails[lo:hi], rels[lo:hi]
 
     def degrees(self) -> np.ndarray:
         """Train out-degree per vertex, duplicates counted."""
-        return np.diff(self.nbr_indptr)
+        return np.diff(self.out_edges[0])
 
 
 def _parse_split(path: Path, entity_index: dict, relation_index: dict,

@@ -160,13 +160,13 @@ def relation_sums(kg: KnowledgeGraph, H_r: np.ndarray) -> np.ndarray:
     """Per-vertex relation sum G[i] = sum of H_r[r] over i's out-edges (j, r).
 
     Only the hardware backward reads it.  One product with the unit (V, R)
-    incidence of the neighbor lists, built in H_r's dtype (duplicates kept,
-    not summed), so each row sums its relation rows in adjacency order and
-    a recomputation from the same inputs reproduces it exactly.
+    incidence of ``kg.out_edges`` in H_r's dtype, one entry per edge with
+    duplicates kept, so each row sums its relation rows in (relation, tail)
+    order and a recomputation from the same inputs reproduces it exactly.
     """
-    incidence = sp.csr_matrix(
-        (np.ones(len(kg.nbr_rels), dtype=H_r.dtype), kg.nbr_rels, kg.nbr_indptr),
-        shape=(kg.n_entities, kg.n_relations))
+    offsets, _tails, rels = kg.out_edges
+    incidence = sp.csr_matrix((np.ones(len(rels), dtype=H_r.dtype), rels, offsets),
+                              shape=(kg.n_entities, kg.n_relations))
     return incidence @ H_r
 
 
@@ -408,11 +408,11 @@ def _sign_contraction(signals: ScoreSignals, M: np.ndarray, delta: np.ndarray,
     counted here; no index array is built before the route is chosen, so the
     dense regime pays one partition and one comparison per row of delta.
 
-    SPLIT_MAX_ACTIVE comes from timing both routes with B = 128, D = 256 and
-    random residual cells, float64, on a 2-core host, against serial dense
-    tiles that took signs with np.sign: the split costs 0.06x (V = 3635) and
-    0.08x (V = 10000) of those tiles with no residual, 0.40x and 0.60x at 20%
-    residual, and breaks even above 50% (V = 3635) and near 40% (V = 10000).
+    SPLIT_MAX_ACTIVE was set against serial np.sign tiles.  Against today's
+    threaded comparison tiles (B = 128, D = 256, random residual cells,
+    float64, 2-core host, V = 3635 and 10000) the split costs 0.90-0.96x of
+    the dense route at 10% residual and 1.40-1.55x at 20%.  The constant
+    stays: moving it changes which route runs, and so the summation order.
     """
     V = delta.shape[1]
     # Row by row, so the choice holds no B x V temporary: one kept alive

@@ -236,6 +236,13 @@ class TestCliTrain:
         assert "lr must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "model.hdck").exists()
 
+    def test_base_matrix_the_checkpoint_rejects_is_exit_2(self, dataset_dir, tmp_path,
+                                                          capsys):
+        assert run_cli("train", "--dataset", str(dataset_dir), "--out-dir", str(tmp_path),
+                       "--d", "64", "--D", "270000", "--epochs", "0") == 2
+        assert "base matrix 64 x 270000 exceeds" in capsys.readouterr().err
+        assert not (tmp_path / "model.hdck").exists()
+
     def test_overflowing_lr_stops_at_the_first_non_finite_score(self, dataset_dir,
                                                                 tmp_path, capsys):
         # One step at lr 1e308 overflows the embeddings, so the refreshed

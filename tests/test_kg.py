@@ -45,7 +45,7 @@ class TestLoadDataset:
     def test_vocabulary_spans_all_splits(self, tmp_path):
         kg = load_dataset(write_dataset(tmp_path, test="dave\tknows\talice\n"))
         assert "dave" in kg.entities
-        assert kg.entity_index["dave"] == 3
+        assert kg.entities.index("dave") == 3
 
     def test_missing_split_file(self, tmp_path):
         (tmp_path / "train.txt").write_text(TRAIN)
@@ -122,14 +122,31 @@ class TestAdjacency:
         A1 = relation_csr(kg, 1).toarray()
         assert A1[0, 2] == 1.0 and A1.sum() == 1.0
 
+    def test_neighbors_and_degrees_read_head_pairs(self):
+        kg = make_graph(30, 4, 120, seed=9)
+        kg = graph_from_triples(np.concatenate([kg.train, kg.train[:15]]), 32, 4)
+        pairs = kg.head_pairs
+        for i in range(kg.n_entities):
+            mine = np.flatnonzero(pairs.vertex == i)
+            spans = [np.arange(pairs.indptr[p], pairs.indptr[p + 1]) for p in mine]
+            at = np.concatenate(spans or [np.empty(0, dtype=np.int64)])
+            tails, rels = kg.neighbors(i)
+            np.testing.assert_array_equal(tails, pairs.member[at])
+            counts = [len(span) for span in spans]
+            np.testing.assert_array_equal(rels, np.repeat(pairs.rel[mine], counts))
+            assert not tails.flags.writeable and not rels.flags.writeable
+        np.testing.assert_array_equal(kg.degrees(),
+                                      np.bincount(kg.train[:, 0], minlength=kg.n_entities))
+        assert kg.degrees()[30:].tolist() == [0, 0]
+
     def test_adjacency_is_built_on_first_use(self):
         kg = graph_from_triples([(0, 0, 1), (1, 1, 2), (0, 1, 2)], 3, 2)
         aug = add_reciprocal(kg)
-        derived = {"_neighbor_lists", "head_pairs", "tail_pairs"}
+        derived = {"out_edges", "head_pairs", "tail_pairs"}
         assert not derived & set(vars(kg)), "the replaced graph built its adjacency"
         tails, rels = aug.neighbors(2)
         assert sorted(zip(tails.tolist(), rels.tolist())) == [(0, 3), (1, 3)]
-        assert derived & set(vars(aug)) == {"_neighbor_lists"}
+        assert derived & set(vars(aug)) == {"out_edges", "head_pairs"}
         np.testing.assert_array_equal(aug.head_pairs.vertex, [0, 0, 1, 1, 2])
         np.testing.assert_array_equal(aug.head_pairs.rel, [0, 1, 1, 2, 3])
 
@@ -228,6 +245,10 @@ class TestTailIndex:
             assert key not in index
         assert index.get("not a pair") is None
         assert index.find([0, 1, 0], [2, 0, 7]).tolist() == [-1, 2, -1]
+
+    def test_keys_that_overflow_int64_rejected(self):
+        with pytest.raises(ValueError, match="overflow"):
+            tail_index(np.array([[3_000_000_000, 1, 5], [7, 0, 2_999_999_999]]))
 
     def test_negative_ids_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -132,8 +132,8 @@ class TestRelationSums:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("graph", ["pairs", "random"])
     def test_bit_for_bit_per_edge_sums_in_adjacency_order(self, dtype, graph):
-        # A per-edge loop in train order adds each head's relation rows in
-        # the order of its neighbor list, as the incidence product does.
+        # A per-edge loop in (head, rel, tail) order adds each head's relation
+        # rows in the order of its out-edges, as the incidence product does.
         kg = pair_graph() if graph == "pairs" else make_graph(25, 4, 90, seed=3,
                                                                allow_dup=True)
         state = fresh_state(kg, d=3, D=8, seed=2, dtype=dtype)
@@ -179,8 +179,10 @@ def pair_graph():
 
 
 def per_edge_memory(kg, H_v, H_r):
+    """M and G from a per-edge loop over the train triples in (head, rel, tail) order."""
     M, G = np.zeros_like(H_v), np.zeros_like(H_v)
-    for h, r, t in kg.train.tolist():
+    order = np.lexsort(kg.train[:, ::-1].T)
+    for h, r, t in kg.train[order].tolist():
         M[h] += H_v[t] * H_r[r]
         G[h] += H_r[r]
     return M, G
