@@ -122,7 +122,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 def load_preset(name: str) -> dict:
     try:
-        text = resources.files("hdkg.presets").joinpath(f"{name}.cfg").read_text()
+        # Through the regular ``hdkg`` package: ``presets`` has no
+        # __init__.py, and a namespace package does not import from a zip.
+        text = (resources.files("hdkg").joinpath("presets").joinpath(f"{name}.cfg")
+                .read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"unknown preset {name!r}") from None
     return parse_config_text(text, source=f"preset:{name}")

@@ -60,19 +60,27 @@ touched by one chunk, which holds for the candidate-side accumulations).
 
 Every sign, in both routes and in score_batch's cached S, comes from two
 comparisons (:func:`_signs`), exact wherever Q and M are finite; score_batch
-rejects non-finite scores.  The dense tiles run in rounds of DENSE_PARTS, on
-min(DENSE_PARTS, available cores) threads.  Each tile is the same einsum over
-the same operands whatever the thread, and the per-query sums take the
-tiles' contributions in tile order, so the gradients are bit for bit those of
-one thread on any host.
+rejects non-finite scores.
+
+Scoring and the dense tiles use both cores through one partition helper,
+:func:`_parts`: a stage cuts its work into PARTS parts per round, part 0 runs
+on the calling thread and the others on at most min(PARTS, cores) - 1 pool
+threads, started once per stage call.  Buffers come from the caller, and
+results are combined in index order.  Scoring cuts Q into row blocks, each
+written by one cdist call into its rows of one caller-allocated buffer; a
+dense tile writes only its own rows of gM and returns its gQ contribution,
+subtracted in tile order.  Every part is the same computation over the same
+operands whatever the thread, so scores and gradients are bit for bit those
+of one thread on any host.  Memorization, the count part and the reference
+tail walk stay serial.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,7 +96,7 @@ from .kg import KnowledgeGraph, PairIndex, tail_index
 INIT_SCALE = 0.1       # embeddings start uniform in [-INIT_SCALE, INIT_SCALE]
 SIGN_TILE = 128        # candidate columns materialized at once in the dense tiles
 SPLIT_MAX_ACTIVE = 0.2 # residual share of score cells above which the dense tiles run
-DENSE_PARTS = 2        # dense tiles per round, at most one thread each
+PARTS = 2              # parts per round of a threaded stage, at most one thread each
 COUNT_BLOCK = 32       # dimensions counted at once in the row-constant part
 PAIR_CHUNK = 2048      # (vertex, relation) pairs aggregated at once in graph walks
 
@@ -235,7 +243,22 @@ def query_scores(view, subjects, rels) -> tuple[np.ndarray, np.ndarray]:
     as a tie, and ranking would place a NaN target at rank 0.
     """
     Q = view.M_v[subjects] + view.H_r[rels]
-    norms = cdist(Q, view.M_v, metric="cityblock").astype(view.M_v.dtype, copy=False)
+    # cdist computes in float64 whatever its input, so both operands are cast
+    # once here, and each row block of Q writes its rows of one buffer.
+    Q64 = np.ascontiguousarray(Q, dtype=np.float64)
+    M64 = np.ascontiguousarray(view.M_v, dtype=np.float64)
+    B = len(Q)
+    norms = np.empty((B, len(M64)), dtype=np.float64)
+    blocks = [(B * i // PARTS, B * (i + 1) // PARTS) for i in range(PARTS)]
+    blocks = [(a, b) for a, b in blocks if a < b]
+
+    def part(i):
+        a, b = blocks[i]
+        cdist(Q64[a:b], M64, metric="cityblock", out=norms[a:b])
+
+    with _parts() as run:
+        run(part, len(blocks))
+    norms = norms.astype(view.M_v.dtype, copy=False)
     raw = np.subtract(view.bias, norms, out=norms)
     bad = ~np.isfinite(raw)
     if bad.any():
@@ -430,13 +453,12 @@ def _dense_contraction(signals, M, delta, T, dtype):
 
     Tiles cut the candidate columns in chunks of T, then SIGN_TILE within a
     chunk.  Each tile's signs come from two comparisons (:func:`_signs`), or
-    from the cached S, cast to ``dtype`` once.  Tiles run in rounds of
-    DENSE_PARTS on min(DENSE_PARTS, available cores) threads, or inline on
-    one core; numpy's comparisons, casts and einsum release the GIL.  A tile
-    writes only its own rows of gM and returns its gQ contribution, which is
-    subtracted in tile order.  Every sum thus keeps the terms and order of
-    one serial pass, and the result is bit for bit the same on any number of
-    cores.  (Splitting D across threads instead is not: a one-column block
+    from the cached S, cast to ``dtype`` once.  Tiles run in rounds of PARTS
+    through :func:`_parts`; numpy's comparisons, casts and einsum release the
+    GIL.  A tile writes only its own rows of gM and returns its gQ
+    contribution, which is subtracted in tile order.  Every sum thus keeps
+    the terms and order of one serial pass, and the result is bit for bit the
+    same on any number of cores.  (Splitting D across threads instead is not: a one-column block
     changes einsum's inner loop from the dimensions to the summed axis.)
     """
     B, V = delta.shape
@@ -445,15 +467,12 @@ def _dense_contraction(signals, M, delta, T, dtype):
     gQ = np.zeros((B, D), dtype=dtype)
     tiles = [(t0, min(t0 + SIGN_TILE, c0 + T, V))
              for c0 in range(0, V, T) for t0 in range(c0, min(c0 + T, V), SIGN_TILE)]
-    # Each slot of a round gets its tile buffers from this thread: large
-    # arrays a worker allocates stay in its malloc arena after it exits,
-    # which raised peak RSS by 24 MB at B = 128, D = 256.
+    # Each part of a round has its own slot of tile buffers.
     size = B * min(SIGN_TILE, T, V) * D
     slots = [(np.empty(size, dtype=bool), np.empty(size, dtype=bool),
-              np.empty(size, dtype=dtype)) for _ in range(DENSE_PARTS)]
+              np.empty(size, dtype=dtype)) for _ in range(PARTS)]
 
-    def tile(bounds, slot):
-        t0, t1 = bounds
+    def tile(t0, t1, slot):
         gt, lt, sgn = (buf[:B * (t1 - t0) * D].reshape(B, t1 - t0, D) for buf in slot)
         np.copyto(sgn, signals.S[:, t0:t1, :] if signals.S is not None
                   else _signs(signals.Q[:, None, :], M[None, t0:t1, :], out=(gt, lt)))
@@ -461,13 +480,40 @@ def _dense_contraction(signals, M, delta, T, dtype):
         gM[t0:t1] += np.einsum("jc,jck->ck", delta[:, t0:t1], sgn)
         return np.einsum("jc,jck->jk", delta[:, t0:t1], sgn)
 
-    workers = min(DENSE_PARTS, _available_cores())
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        run = pool.map if pool else map
-        for r0 in range(0, len(tiles), DENSE_PARTS):
-            for contribution in run(tile, tiles[r0:r0 + DENSE_PARTS], slots):
+    with _parts() as run:
+        for r0 in range(0, len(tiles), PARTS):
+            rnd = tiles[r0:r0 + PARTS]
+            for contribution in run(lambda i: tile(*rnd[i], slots[i]), len(rnd)):
                 gQ -= contribution
     return gM, gQ
+
+
+@contextmanager
+def _parts():
+    """The partition map of one stage call: ``run(fn, n)`` returns
+    [fn(0), ..., fn(n - 1)], in index order.
+
+    Part 0 runs on the calling thread and the others on at most
+    min(PARTS, cores) - 1 pool threads, started once for the whole stage call
+    however many rounds it maps; on one core no thread is started.  Callers
+    allocate the parts' buffers on the calling thread (large arrays a worker
+    allocates stay in its malloc arena after it exits, which raised peak RSS
+    by 24 MB in the dense tiles at B = 128, D = 256) and combine shared
+    results in index order, so the bytes do not depend on the core count.
+    """
+    workers = min(PARTS, _available_cores()) - 1
+    if workers < 1:
+        yield lambda fn, n: [fn(i) for i in range(n)]
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        def run(fn, n):
+            rest = [pool.submit(fn, i) for i in range(1, n)]
+            try:
+                first = [fn(0)] if n else []
+            finally:
+                wait(rest)
+            return first + [f.result() for f in rest]
+        yield run
 
 
 def _available_cores() -> int:
@@ -572,7 +618,8 @@ class Optimizer:
         param -= cfg.lr * grad
 
     def step(self, state: ModelState, grads: Gradients):
-        """Apply one update; a non-finite gradient raises before anything changes."""
+        """Apply one update; a non-finite gradient raises before anything
+        changes, a parameter the update made non-finite raises after it."""
         for name in ("e_v", "e_r", "bias"):
             if not np.isfinite(getattr(grads, name)).all():
                 raise NumericError(f"non-finite gradient for {name}")
@@ -586,6 +633,11 @@ class Optimizer:
             else:
                 state.bias -= self.cfg.lr * grads.bias
         state.mark_stale()
+        # A finite gradient can still overflow a parameter (a huge lr); the
+        # checkpoint loader would reject it, so stop here instead.
+        for name in ("e_v", "e_r", "bias"):
+            if not np.isfinite(getattr(state, name)).all():
+                raise NumericError(f"non-finite value in {name} after the update")
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Configuration parsing, run identity hashing, and the command line."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -109,6 +110,15 @@ class TestBuildConfig:
     def test_packaged_presets_validate(self):
         for name in ("fb15k237", "u50", "u280"):
             build_config(preset=name)  # validate() runs inside
+
+    def test_presets_load_without_a_presets_package(self, monkeypatch):
+        # ``presets`` has no __init__.py; a zipped install cannot import it
+        # as a namespace package, so loading must go through ``hdkg``.
+        monkeypatch.setitem(sys.modules, "hdkg.presets", None)
+        for name in ("fb15k237", "u50", "u280"):
+            assert load_preset(name)
+        with pytest.raises(ConfigError, match="unknown preset 'v100'"):
+            load_preset("v100")
 
     def test_preset_fb15k237_pins_model_shape(self):
         values = load_preset("fb15k237")
@@ -243,18 +253,34 @@ class TestCliTrain:
         assert "base matrix 64 x 270000 exceeds" in capsys.readouterr().err
         assert not (tmp_path / "model.hdck").exists()
 
-    def test_overflowing_lr_stops_at_the_first_non_finite_score(self, dataset_dir,
-                                                                tmp_path, capsys):
-        # One step at lr 1e308 overflows the embeddings, so the refreshed
-        # memories are no longer finite; the next batch's scores are caught
-        # before the loss or any sign is taken.
+    def test_overflowing_lr_stops_at_the_step_that_overflows(self, dataset_dir,
+                                                             tmp_path, capsys):
+        # One step at lr 1e308 overflows the embeddings; the step itself
+        # raises, before any refresh or score reads them.
         with np.errstate(over="ignore", invalid="ignore"):
             code = run_cli("train", "--dataset", str(dataset_dir),
                            "--out-dir", str(tmp_path), *TRAIN_ARGS[:6], "--seed", "3",
                            "--batch-size", "1", "--lr", "1e308")
         assert code == 4
-        assert "non-finite score in batch row 0" in capsys.readouterr().err
+        assert "non-finite value in e_r after the update" in capsys.readouterr().err
         assert not (tmp_path / "model.hdck").exists()
+
+    def test_overflow_in_the_last_step_writes_no_checkpoint(self, tmp_path, capsys):
+        # One batch per epoch: no later score would see the overflow, and the
+        # checkpoint loader would reject the file.
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "train.txt").write_text("a\tknows\tb\n")
+        (data / "valid.txt").write_text("b\tknows\tc\n")
+        (data / "test.txt").write_text("c\tknows\ta\n")
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("train", "--dataset", str(data), "--out-dir", str(out),
+                           "--run-preset", "fb15k237", "--d", "8", "--D", "32",
+                           "--epochs", "1", "--lr", "1.7e308")
+        assert code == 4
+        assert "non-finite value in e_r after the update" in capsys.readouterr().err
+        assert not (out / "model.hdck").exists()
 
     def test_identity_activation_is_exit_2(self, dataset_dir, tmp_path, capsys):
         assert run_cli("train", "--dataset", str(dataset_dir),

@@ -1,11 +1,14 @@
 """Model state, memorization, scoring, gradients, optimizer, and the trainer."""
 
 import math
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 from scipy.special import expit
 
 from conftest import (dense_target_loss, dict_tail_index, graph_from_triples,
@@ -30,6 +33,7 @@ from hdkg.model import (
     relation_sums,
     score_batch,
 )
+from hdkg.ranking import ScoringView, rank_queries
 
 # Frozen init draws for seed=7, d=2: three entity rows then two relation rows
 # from the same stream (SeedSequence(7, spawn_key=(1,)) -> uniform(-0.1, 0.1)),
@@ -722,36 +726,133 @@ class TestDenseTiles:
         monkeypatch.setattr(model, "SIGN_TILE", 4)
         sig = score_batch(state, subjects, rels)
         _, delta = loss_and_delta(sig, targets, kg.n_entities)
+        view, index = ScoringView.from_state(state), tail_index(kg.train)
+        queries, eval_batch = kg.train[:40], 16
+        # Each stage maps its parts through one _parts call per entry.
+        stages = {
+            "query_scores": (1, lambda: model.query_scores(state, subjects, rels)),
+            "rank_queries": (-(-len(queries) // eval_batch), lambda: (
+                rank_queries(view, queries, index, batch_size=eval_batch),)),
+        }
+        for mode in BACKWARD_MODES:
+            stages[mode] = (1, lambda mode=mode: dense_outputs(state, kg, sig, delta, 7, mode))
 
-        tile_threads, started = set(), []
-        signs, start = model._signs, threading.Thread.start
+        part_threads, started = set(), []
+        signs, dist, start = model._signs, model.cdist, threading.Thread.start
 
-        def spy_signs(*args, **kwargs):
-            tile_threads.add(threading.get_ident())
-            return signs(*args, **kwargs)
+        def spy(fn):
+            def wrapped(*args, **kwargs):
+                part_threads.add(threading.get_ident())
+                return fn(*args, **kwargs)
+            return wrapped
 
         def spy_start(thread):
             started.append(thread)
             return start(thread)
 
-        monkeypatch.setattr(model, "_signs", spy_signs)
+        monkeypatch.setattr(model, "_signs", spy(signs))
+        monkeypatch.setattr(model, "cdist", spy(dist))
         monkeypatch.setattr(threading.Thread, "start", spy_start)
-        for mode in BACKWARD_MODES:
-            want = [a.tobytes() for a in dense_outputs(state, kg, sig, delta, 7, mode)]
-            for cores in (1, model.DENSE_PARTS, 64):
+        for name, (calls, run) in stages.items():
+            want = [a.tobytes() for a in run()]
+            for cores in (1, model.PARTS, 64):
                 monkeypatch.setattr(model, "_available_cores", lambda: cores)
-                tile_threads.clear()
+                part_threads.clear()
                 started.clear()
-                got = [a.tobytes() for a in dense_outputs(state, kg, sig, delta, 7, mode)]
-                assert got == want, (mode, cores)
-                workers = min(model.DENSE_PARTS, cores)
-                assert len(started) <= model.DENSE_PARTS
-                if workers == 1:
-                    assert not started
-                    assert tile_threads == {threading.get_ident()}
-                else:
-                    assert 1 <= len(tile_threads) <= workers
-                    assert threading.get_ident() not in tile_threads
+                got = [a.tobytes() for a in run()]
+                assert got == want, (name, cores)
+                assert threading.get_ident() in part_threads, (name, cores)
+                assert len(part_threads) <= min(model.PARTS, cores), (name, cores)
+                assert (len(part_threads) > 1) == (cores > 1), (name, cores)
+                assert len(started) <= calls * (model.PARTS - 1), (name, cores)
+                if cores == 1:
+                    assert not started, name
+
+
+class TestQueryScores:
+    """Row blocks of Q, each scored by its own cdist call into one buffer,
+    against one whole-batch cdist call: equal bit for bit, not within a
+    tolerance."""
+
+    @staticmethod
+    def case(B, dtype):
+        kg = make_graph(40, 3, 120, seed=5)
+        state = fresh_state(kg, d=6, D=24, seed=5, dtype=dtype)
+        state.bias = 0.25
+        gen = np.random.default_rng(B)
+        return (state, gen.integers(0, kg.n_entities, B),
+                gen.integers(0, kg.n_relations, B))
+
+    @staticmethod
+    def one_cdist_call(view, subjects, rels):
+        Q = view.M_v[subjects] + view.H_r[rels]
+        norms = cdist(Q, view.M_v, metric="cityblock").astype(view.M_v.dtype, copy=False)
+        return Q, np.subtract(view.bias, norms, out=norms)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("B", sorted({0, 1, model.PARTS - 1, 3, 128}))
+    def test_equal_to_one_cdist_call(self, B, dtype):
+        state, subjects, rels = self.case(B, dtype)
+        got = model.query_scores(state, subjects, rels)
+        want = self.one_cdist_call(state, subjects, rels)
+        for name, a, b in zip(("Q", "raw"), got, want):
+            assert a.dtype == b.dtype == dtype, name
+            assert a.shape == b.shape, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("B", sorted({1, model.PARTS - 1, 3, 128}))
+    def test_non_finite_score_names_the_first_bad_row(self, B, dtype):
+        state, subjects, rels = self.case(B, dtype)
+        state.H_r[rels[-1], 2] = np.inf
+        with np.errstate(invalid="ignore"):
+            raw = self.one_cdist_call(state, subjects, rels)[1]
+        row = (~np.isfinite(raw)).any(axis=1).argmax()
+        with pytest.raises(NumericError, match=f"non-finite score in batch row {row}$"):
+            model.query_scores(state, subjects, rels)
+
+
+class TestParts:
+    """The partition helper: results in index order, part 0 on the caller,
+    every part finished before the call returns or raises."""
+
+    def test_index_order_with_more_parts_than_cores(self, monkeypatch):
+        monkeypatch.setattr(model, "PARTS", 7)
+        monkeypatch.setattr(model, "_available_cores", lambda: 64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with model._parts() as run:
+                for n in (0, 1, 3, 7, 20):
+                    got = run(lambda i: (i, threading.get_ident()), n)
+                    assert [i for i, _ in got] == list(range(n))
+                    if n:
+                        assert got[0][1] == threading.get_ident()
+                    assert len({t for _, t in got}) <= model.PARTS
+            for B in (3, 128):
+                state, subjects, rels = TestQueryScores.case(B, np.float64)
+                got = model.query_scores(state, subjects, rels)
+                want = TestQueryScores.one_cdist_call(state, subjects, rels)
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_failing_part_raises_after_every_part_ran(self, monkeypatch, failing):
+        monkeypatch.setattr(model, "_available_cores", lambda: 64)
+        ran = []
+
+        def part(i):
+            if i == failing:
+                raise ValueError(f"part {i}")
+            time.sleep(0.01)
+            ran.append(i)
+
+        with pytest.raises(ValueError, match=f"part {failing}"):
+            with model._parts() as run:
+                run(part, model.PARTS)
+        assert sorted(ran) == [i for i in range(model.PARTS) if i != failing]
 
 
 class TestOptimizer:
@@ -806,6 +907,20 @@ class TestOptimizer:
         np.testing.assert_array_equal(state.e_v, before[0])
         np.testing.assert_array_equal(state.e_r, before[1])
         assert state.bias == before[2] and state.mv_fresh
+
+    @pytest.mark.parametrize("bad", ["e_v", "e_r", "bias"])
+    def test_update_that_overflows_a_parameter_raises(self, bad):
+        state = fresh_state(tiny_graph(), d=2, D=4)
+        g = Gradients(e_v=np.zeros_like(state.e_v), e_r=np.zeros_like(state.e_r),
+                      bias=0.0)
+        # Finite lr and gradient whose product overflows one coordinate.
+        if bad == "bias":
+            state.bias, g.bias = 1e308, -1.0
+        else:
+            getattr(state, bad)[1, 0], getattr(g, bad)[1, 0] = 1e308, -1.0
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericError, match=f"non-finite value in {bad} after the update"):
+            Optimizer(OptimizerConfig(lr=1e308)).step(state, g)
 
 
 class TestTrainer:
